@@ -9,6 +9,7 @@
 //! the build is hermetic, no serde).
 
 use ldl_core::Span;
+use ldl_support::json;
 use std::fmt;
 
 /// Diagnostic severity. Errors make `Report::has_errors` true (and a
@@ -86,44 +87,20 @@ impl Diagnostic {
 
     /// The diagnostic as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"code\":");
-        json_string(&mut s, self.code);
-        s.push_str(",\"severity\":");
-        json_string(&mut s, &self.severity.to_string());
-        s.push_str(",\"message\":");
-        json_string(&mut s, &self.message);
-        s.push_str(&format!(
-            ",\"line\":{},\"col\":{},\"end_line\":{},\"end_col\":{}",
-            self.span.line, self.span.col, self.span.end_line, self.span.end_col
-        ));
-        s.push_str(",\"notes\":[");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_string(&mut s, n);
-        }
-        s.push_str("]}");
-        s
+        let notes: Vec<String> = self.notes.iter().map(|n| json::string(n)).collect();
+        format!(
+            "{{\"code\":{},\"severity\":{},\"message\":{},\
+             \"line\":{},\"col\":{},\"end_line\":{},\"end_col\":{},\"notes\":[{}]}}",
+            json::string(self.code),
+            json::string(&self.severity.to_string()),
+            json::string(&self.message),
+            self.span.line,
+            self.span.col,
+            self.span.end_line,
+            self.span.end_col,
+            notes.join(",")
+        )
     }
-}
-
-/// Escapes `v` as a JSON string (quotes included) onto `out`.
-fn json_string(out: &mut String, v: &str) {
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// The outcome of one analysis run.
@@ -176,6 +153,15 @@ impl Report {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Error)
+    }
+
+    /// The error-severity findings on one line, `[code] message; ...` —
+    /// the text an `LdlError::Unsafe` carries for a rejected query.
+    pub fn error_summary(&self) -> String {
+        self.errors()
+            .map(|d| format!("[{}] {}", d.code, d.message))
+            .collect::<Vec<_>>()
+            .join("; ")
     }
 
     /// Renders every diagnostic as line-delimited JSON (one object per

@@ -83,6 +83,17 @@ pub fn filter_answers(rel: &Relation, goal: &Atom) -> Relation {
     out
 }
 
+/// Answers `query` over an already materialized relation for its
+/// predicate (`None`: the predicate has no tuples). One-shot
+/// evaluation, [`crate::Engine::answers`] and the daemon's served views
+/// all finish a goal here.
+pub fn answer_goal(rel: Option<&Relation>, query: &Query) -> Relation {
+    match rel {
+        Some(rel) => filter_answers(rel, &query.goal),
+        None => Relation::new(query.pred().arity),
+    }
+}
+
 /// Evaluates `query` against `program`/`db` with `method`, adorning with
 /// the default greedy binding-aware SIP where a rewriting is involved.
 pub fn evaluate_query(
@@ -130,11 +141,9 @@ pub fn evaluate_query_sip(
             };
             let rel = derived
                 .get(&query.pred())
-                .cloned()
-                .or_else(|| db.relation(query.pred()).cloned())
-                .unwrap_or_else(|| Relation::new(query.pred().arity));
+                .or_else(|| db.relation(query.pred()));
             Ok(QueryAnswer {
-                tuples: filter_answers(&rel, &query.goal),
+                tuples: answer_goal(rel, query),
                 metrics,
             })
         }
@@ -142,12 +151,8 @@ pub fn evaluate_query_sip(
             // A query on a base predicate needs no rewriting at all:
             // filter the stored relation directly.
             if !program.derived_preds().contains(&query.pred()) {
-                let rel = db
-                    .relation(query.pred())
-                    .cloned()
-                    .unwrap_or_else(|| Relation::new(query.pred().arity));
                 return Ok(QueryAnswer {
-                    tuples: filter_answers(&rel, &query.goal),
+                    tuples: answer_goal(db.relation(query.pred()), query),
                     metrics: Metrics::default(),
                 });
             }
@@ -187,12 +192,7 @@ fn analysis_gate(program: &Program, query: &Query, policy: AnalysisPolicy) -> Re
         }
         AnalysisPolicy::Deny => {
             if report.has_errors() {
-                let msg = report
-                    .errors()
-                    .map(|d| format!("[{}] {}", d.code, d.message))
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(ldl_core::LdlError::Unsafe(msg));
+                return Err(ldl_core::LdlError::Unsafe(report.error_summary()));
             }
             Ok(())
         }
@@ -234,12 +234,8 @@ pub fn evaluate_adorned(
             let mut mdb = db.clone();
             mdb.relation_mut(magic.seed_pred).insert(magic.seed.clone());
             let (derived, metrics) = eval_program_seminaive(&magic.program, &mdb, cfg)?;
-            let rel = derived
-                .get(&magic.answer_pred)
-                .cloned()
-                .unwrap_or_else(|| Relation::new(query.pred().arity));
             Ok(QueryAnswer {
-                tuples: filter_answers(&rel, &query.goal),
+                tuples: answer_goal(derived.get(&magic.answer_pred), query),
                 metrics,
             })
         }

@@ -199,7 +199,7 @@ impl Engine {
         let graph = DependencyGraph::build(program);
         graph.check_stratified()?;
         let mut groups = Vec::new();
-        for preds in evaluation_groups(program, &graph) {
+        for preds in evaluation_groups(&graph) {
             let rules: Vec<usize> = program
                 .rules
                 .iter()
@@ -251,6 +251,11 @@ impl Engine {
         &self.db
     }
 
+    /// Gives the base relations back, dropping the maintained state.
+    pub fn into_database(self) -> Database {
+        self.db
+    }
+
     /// The relation backing `p`: derived if `p` has rules, else base.
     pub fn relation(&self, p: Pred) -> Option<&Relation> {
         self.derived.get(&p).or_else(|| self.db.relation(p))
@@ -275,10 +280,7 @@ impl Engine {
     /// Query answers against the maintained state: the goal's relation
     /// filtered by the goal's ground arguments.
     pub fn answers(&self, query: &ldl_core::Query) -> Relation {
-        match self.relation(query.pred()) {
-            Some(rel) => crate::engine::filter_answers(rel, &query.goal),
-            None => Relation::new(query.pred().arity),
-        }
+        crate::engine::answer_goal(self.relation(query.pred()), query)
     }
 
     /// From-scratch evaluation of every stratum, populating `derived`

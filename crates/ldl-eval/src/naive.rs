@@ -215,7 +215,7 @@ impl FixpointConfig {
 
 /// Groups derived predicates into evaluation units, bottom-up: each
 /// recursive clique is one group, every other predicate is a singleton.
-pub(crate) fn evaluation_groups(program: &Program, graph: &DependencyGraph) -> Vec<Vec<Pred>> {
+pub(crate) fn evaluation_groups(graph: &DependencyGraph) -> Vec<Vec<Pred>> {
     let mut groups: Vec<Vec<Pred>> = Vec::new();
     let mut current_clique: Option<usize> = None;
     for &p in graph.bottom_up_order() {
@@ -234,7 +234,6 @@ pub(crate) fn evaluation_groups(program: &Program, graph: &DependencyGraph) -> V
             }
         }
     }
-    let _ = program;
     groups
 }
 
@@ -264,7 +263,7 @@ pub fn eval_program_naive(
     // One chain-cover solve per evaluation; every round borrows it.
     let catalog = cfg.catalog(program);
 
-    for group in evaluation_groups(program, &graph) {
+    for group in evaluation_groups(&graph) {
         let recursive = group.iter().any(|&p| graph.is_recursive(p));
         let rules: Vec<usize> = program
             .rules

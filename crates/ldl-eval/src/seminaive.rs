@@ -40,7 +40,7 @@ pub fn eval_program_seminaive(
     // One chain-cover solve per evaluation; every round borrows it.
     let catalog = cfg.catalog(program);
 
-    for group in evaluation_groups(program, &graph) {
+    for group in evaluation_groups(&graph) {
         let in_group = |p: Pred| group.contains(&p);
         let recursive = group.iter().any(|&p| graph.is_recursive(p));
         let group_rules: Vec<usize> = program

@@ -7,6 +7,7 @@
 //! protocol itself only ever carries integers and they round-trip
 //! exactly up to 2^53.
 
+use ldl_support::json::write_string;
 use std::fmt;
 
 /// A JSON value.
@@ -95,7 +96,7 @@ impl fmt::Display for Json {
                     write!(f, "{n}")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => write_string(f, s),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -112,29 +113,13 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_string(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 write!(f, "}}")
             }
         }
     }
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    write!(f, "\"")
 }
 
 /// Parses one JSON value from `input` (the whole string must be
@@ -342,11 +327,27 @@ mod tests {
 
     #[test]
     fn escapes_roundtrip() {
-        let v = Json::str("line1\nline2\t\"quoted\" back\\slash");
+        let nasty = "line1\nline2\t\"quoted\" back\\slash \u{1}";
+        let v = Json::str(nasty);
         let text = v.to_string();
         let back = parse(&text).unwrap();
         assert_eq!(back, v);
         assert_eq!(parse(r#""Aé""#).unwrap(), Json::str("Aé"));
+        // The other two JSON writers in the workspace share the
+        // escaper: what they emit parses back to the same string.
+        let d =
+            ldl_analysis::Diagnostic::error("LDL001", ldl_core::Span::NONE, nasty).with_note(nasty);
+        let d = parse(&d.to_json()).unwrap();
+        assert_eq!(d.get("message").and_then(Json::as_str), Some(nasty));
+        assert_eq!(d.get("notes").and_then(Json::as_arr), Some(&[v][..]));
+        let mut h = ldl_support::bench::Harness::new(nasty);
+        h.set_iters(0, 1);
+        h.bench(nasty, nasty, || 0);
+        let b = parse(&h.to_json()).unwrap();
+        assert_eq!(b.get("name").and_then(Json::as_str), Some(nasty));
+        let record = &b.get("records").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(record.get("group").and_then(Json::as_str), Some(nasty));
+        assert_eq!(record.get("label").and_then(Json::as_str), Some(nasty));
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::snapshot::{self, Snapshot};
 use crate::wal::{self, Wal, WalRecord};
 use ldl_core::parser::parse_program;
 use ldl_core::{LdlError, Pred, Program, Query, Result};
-use ldl_eval::engine::filter_answers;
+use ldl_eval::engine::answer_goal;
 use ldl_eval::{EdbDelta, Engine, FixpointConfig, MaintenanceReport};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File};
@@ -84,10 +84,7 @@ impl StateView {
     /// Query answers against this view (goal's relation filtered by the
     /// goal's ground arguments) — same semantics as `Engine::answers`.
     pub fn answers(&self, query: &Query) -> ldl_storage::Relation {
-        match self.relation(query.pred()) {
-            Some(rel) => filter_answers(rel, &query.goal),
-            None => ldl_storage::Relation::new(query.pred().arity),
-        }
+        answer_goal(self.relation(query.pred()), query)
     }
 
     /// FNV-1a digest over every relation (base and derived), predicates

@@ -21,6 +21,7 @@
 //! * `LDL_BENCH_JSON_DIR` — directory for `BENCH_<name>.json` (unset:
 //!   the current directory; `-` disables the file entirely).
 
+use crate::json;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -128,16 +129,16 @@ impl Harness {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"name\": \"{}\",", escape(&self.name));
+        let _ = writeln!(s, "  \"name\": {},", json::string(&self.name));
         let _ = writeln!(s, "  \"records\": [");
         for (i, r) in self.records.iter().enumerate() {
             let comma = if i + 1 < self.records.len() { "," } else { "" };
             let _ = writeln!(
                 s,
-                "    {{\"group\": \"{}\", \"label\": \"{}\", \"iters\": {}, \
+                "    {{\"group\": {}, \"label\": {}, \"iters\": {}, \
                  \"median_ns\": {}, \"p95_ns\": {}, \"min_ns\": {}, \"mean_ns\": {}}}{comma}",
-                escape(&r.group),
-                escape(&r.label),
+                json::string(&r.group),
+                json::string(&r.label),
                 r.iters,
                 r.median_ns,
                 r.p95_ns,
@@ -166,10 +167,6 @@ impl Harness {
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn fmt_ns(ns: u128) -> String {
@@ -220,11 +217,6 @@ mod tests {
         assert!(json.contains("\"median_ns\":"));
         assert!(json.contains("\"p95_ns\":"));
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn escape_handles_quotes() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn main() {
 
     // The free forms are unsafe — infinitely many lists.
     println!("\nlen(L, N)? (free form)");
-    match s.query("len(L, N)?") {
+    match s.answers("len(L, N)?") {
         Err(e) => println!("  {e}"),
         Ok(_) => println!("  unexpectedly accepted"),
     }

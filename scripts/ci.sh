@@ -232,6 +232,19 @@ grep -q "5 answer(s)" "$repl_dir/replica-orphan.log" \
          cat "$repl_dir/replica-orphan.log"; exit 1; }
 echo "    replica converged: $(cat "$repl_dir/digest-replica"); reads survive primary death"
 
+# End-to-end benchmark smoke: bench/smoke.sh builds the release
+# ldl-shell / ldl-serve and the driver, runs all four workloads for 3 s
+# each against the real binaries — every reply checked against the
+# driver's own reference — and diffs BENCHMARK.json against the
+# driver's metric tables. Non-zero on any failed or mismatching op, or
+# on drift. (The driver is a package of its own with a committed lock
+# file; cargo refreshes bench/Cargo.lock in place when a crate's
+# dependency list has moved since it was written.)
+echo "==> end-to-end benchmark smoke (bench/smoke.sh: 4 workloads, BENCHMARK.json drift)"
+bench/smoke.sh > "$digest_dir/bench-smoke.log" 2>&1 \
+    || { echo "    FAIL: bench smoke"; tail -n 40 "$digest_dir/bench-smoke.log"; exit 1; }
+echo "    $(grep -c '"correct": true' "$digest_dir/bench-smoke.log") workload(s) correct, 0 failed ops; BENCHMARK.json matches the driver"
+
 # Golden-diagnostics gate: `ldl-shell --check --json` over every example
 # program must reproduce the checked-in diagnostics bit for bit (stable
 # codes, spans, messages). `--check` exits non-zero on files with

@@ -1,6 +1,9 @@
 //! # ldl — Optimization in a Logic Based Language (EDBT 1988), in Rust
 //!
-//! Facade crate re-exporting the whole LDL reproduction:
+//! Facade crate re-exporting the whole LDL reproduction, plus
+//! [`Session`] — the one stateful front end (load, query with a
+//! per-query-form plan cache, stage, commit) that `ldl-shell` is a REPL
+//! over:
 //!
 //! * [`core`] — language front end (terms, rules, parser,
 //!   unification, adornment, dependency analysis);
