@@ -121,8 +121,8 @@ fn analyzer_clean_programs_evaluate_without_eval_errors() {
                 return;
             }
 
-            // Soundness: every analyzer-clean query form evaluates under
-            // the strict-select engine without `LdlError::Eval`.
+            // Soundness: every analyzer-clean query form evaluates
+            // without `LdlError::Eval`.
             let db = Database::from_program(&src.program);
             for &i in &chosen {
                 let q = parse_query(TEMPLATES[i].query).unwrap();
@@ -134,7 +134,6 @@ fn analyzer_clean_programs_evaluate_without_eval_errors() {
                 for threads in [1, 4] {
                     let cfg = FixpointConfig::default()
                         .with_threads(threads)
-                        .with_strict_select(true)
                         .with_analysis(AnalysisPolicy::Off);
                     let res = evaluate_query(&src.program, &db, &q, Method::SemiNaive, &cfg);
                     assert!(

@@ -10,7 +10,7 @@ use ldl_core::unify::Subst;
 use ldl_core::{Pred, Program};
 use ldl_eval::materialized::eval_rule_materialized;
 use ldl_eval::ops::JoinMethod;
-use ldl_eval::rule_eval::{eval_rule, OverlaySource};
+use ldl_eval::rule_eval::{eval_rule_with, AccessPlan, OverlaySource};
 use ldl_storage::{Database, Relation};
 use ldl_support::bench::Harness;
 use std::fmt::Write as _;
@@ -43,11 +43,11 @@ fn main() {
                 || {
                     let source = OverlaySource {
                         base: |p: Pred| db.relation(p),
-                        overlay: None,
-                        restrict: None,
+                        overrides: &[],
                     };
                     let mut out = Relation::new(rule.head.args.len());
-                    eval_rule(&rule, &order, &Subst::new(), &source, &mut |t| {
+                    let plan = AccessPlan::HashOnDemand;
+                    eval_rule_with(&rule, &order, &Subst::new(), &source, plan, &mut |t| {
                         out.insert(t);
                     })
                     .unwrap();
@@ -60,10 +60,9 @@ fn main() {
                 || {
                     let source = OverlaySource {
                         base: |p: Pred| db.relation(p),
-                        overlay: None,
-                        restrict: None,
+                        overrides: &[],
                     };
-                    eval_rule_materialized(&rule, &order, JoinMethod::Hash, &source).unwrap()
+                    eval_rule_materialized(&rule, &order, JoinMethod::Hash, &source, false).unwrap()
                 },
             );
         }

@@ -23,6 +23,11 @@ pub enum LdlError {
     Unsafe(String),
     /// Evaluation-time failure (type error in arithmetic, missing relation).
     Eval(String),
+    /// A bottom-up fixpoint ran past its iteration bound. Kept apart
+    /// from [`LdlError::Eval`] so callers that recover from divergence
+    /// (a counting plan over cyclic data falls back to magic sets) do
+    /// not also swallow type errors.
+    Diverged(String),
 }
 
 impl fmt::Display for LdlError {
@@ -33,7 +38,7 @@ impl fmt::Display for LdlError {
             }
             LdlError::Validation(m) => write!(f, "validation error: {m}"),
             LdlError::Unsafe(m) => write!(f, "unsafe query: {m}"),
-            LdlError::Eval(m) => write!(f, "evaluation error: {m}"),
+            LdlError::Eval(m) | LdlError::Diverged(m) => write!(f, "evaluation error: {m}"),
         }
     }
 }

@@ -56,26 +56,22 @@ pub fn active_domain_iteration_bound(program: &Program, db: &Database) -> usize 
     domain + program.rules.len() + 8
 }
 
-/// Rewrites the generic fixpoint-limit error produced when the counting
-/// program's `cnt_*`/`ans_*` relations spin past the active-domain
-/// bound into a dedicated diagnostic naming the counting method's
-/// cyclic-data limitation and the way out (magic sets terminates on
-/// cycles because its binding-passing predicate carries no counter).
-/// Any other error passes through unchanged.
+/// Rewrites the fixpoint-bound error ([`LdlError::Diverged`]) of a
+/// counting program spinning past the active-domain bound into a
+/// dedicated diagnostic naming the counting method's cyclic-data
+/// limitation and the way out (magic sets terminates on cycles because
+/// its binding-passing predicate carries no counter). Still
+/// `Diverged`; any other error passes through unchanged.
 pub fn map_divergence_error(e: LdlError, query: &Query, bound: usize) -> LdlError {
-    match &e {
-        LdlError::Eval(msg)
-            if msg.contains("exceeded") && (msg.contains("cnt_") || msg.contains("ans_")) =>
-        {
-            LdlError::Eval(format!(
-                "counting method diverged on query {}: the derivation counter passed the \
-                 active-domain bound of {bound} iterations, so the data reachable from the \
-                 query is cyclic and the counting rewriting [SZ 86] cannot terminate on it; \
-                 re-run this query with the magic-sets method, which handles cyclic data",
-                query.goal
-            ))
-        }
-        _ => e,
+    match e {
+        LdlError::Diverged(_) => LdlError::Diverged(format!(
+            "counting method diverged on query {}: the derivation counter passed the \
+             active-domain bound of {bound} iterations, so the data reachable from the \
+             query is cyclic and the counting rewriting [SZ 86] cannot terminate on it; \
+             re-run this query with the magic-sets method, which handles cyclic data",
+            query.goal
+        )),
+        e => e,
     }
 }
 

@@ -24,16 +24,6 @@ pub fn has_grouping(rule: &Rule) -> bool {
 /// head arguments, every grouped position collecting its values into a
 /// set term. Keys with no solutions produce no tuple (no empty sets —
 /// LDL's grouping is over a non-empty extension).
-pub fn eval_grouping_rule(
-    rule: &Rule,
-    order: &[usize],
-    source: &dyn RelSource,
-) -> Result<(Vec<Tuple>, FiringStats)> {
-    eval_grouping_rule_with(rule, order, source, AccessPlan::HashOnDemand)
-}
-
-/// [`eval_grouping_rule`] with an explicit access plan for the body's
-/// probe sites.
 pub fn eval_grouping_rule_with(
     rule: &Rule,
     order: &[usize],
@@ -119,10 +109,10 @@ mod tests {
         let order: Vec<usize> = (0..rule.body.len()).collect();
         let source = OverlaySource {
             base: |p: Pred| db.relation(p),
-            overlay: None,
-            restrict: None,
+            overrides: &[],
         };
-        let (mut out, _) = eval_grouping_rule(rule, &order, &source).unwrap();
+        let (mut out, _) =
+            eval_grouping_rule_with(rule, &order, &source, AccessPlan::HashOnDemand).unwrap();
         out.sort_by_key(|t| t.to_string());
         out
     }

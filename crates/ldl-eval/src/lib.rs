@@ -12,9 +12,10 @@
 //! * [`ops`] — materialized relational operators with exchangeable join
 //!   methods (nested-loop / hash / index — the `EL` transformation);
 //! * [`naive`] / [`seminaive`] — fixpoint computation of recursive
-//!   cliques, stratum by stratum, with rounds executed in parallel on
-//!   scoped worker threads (deterministic: results and metrics are
-//!   identical to serial execution at any thread count);
+//!   cliques, stratum by stratum: two modes of the one crate-private
+//!   stratum driver, whose rounds the one round executor runs in
+//!   parallel on scoped worker threads (deterministic: results and
+//!   metrics are identical to serial execution at any thread count);
 //! * [`magic`] — the magic-set rewriting of an adorned program [BMSU 85];
 //! * [`counting`] — the generalized counting rewriting [SZ 86] for
 //!   linear cliques;
@@ -29,10 +30,11 @@
 //! * [`maintain`] — incremental view maintenance: an [`Engine`] that
 //!   repairs derived relations on [`EdbDelta`] batches (counting for
 //!   non-recursive strata, DRed for recursive cliques) with work
-//!   proportional to the change.
+//!   proportional to the change, through the same driver and executor.
 
 pub mod builtins;
 pub mod counting;
+mod driver;
 pub mod engine;
 pub mod grouping;
 pub mod magic;

@@ -7,8 +7,12 @@
 //! base relation) arrives, doing work proportional to the change rather
 //! than to the database.
 //!
-//! Strata are dispatched off the existing dependency graph, one of
-//! three ways:
+//! Evaluation and repair share one fixpoint driver (`crate::driver`)
+//! and one round executor (`crate::parallel`): the from-scratch pass,
+//! the grouping recompute and DRed's insertion propagation are callers
+//! of the driver, and every delta firing below is an ordinary firing
+//! with positional overrides. Strata are dispatched off the driver's
+//! stratification, one of three ways:
 //!
 //! * **Counting** (non-recursive strata): a [`SupportCounts`] table
 //!   tracks how many distinct derivations each tuple has. A delta batch
@@ -48,17 +52,19 @@
 //! across maintenance vs. from-scratch construction, any thread count,
 //! and any access-path policy.
 
-use crate::grouping::has_grouping;
+use crate::driver::{
+    eval_stratum, insert_round, propagate, seed_derived, seed_relation, strata, EvalCtx, Mode,
+    Stratum,
+};
 use crate::metrics::Metrics;
-use crate::naive::{evaluation_groups, FixpointConfig};
-use crate::parallel::{run_round, Firing};
-use crate::rule_eval::{eval_rule_with, AccessPlan, RelSource};
-use ldl_core::depgraph::DependencyGraph;
+use crate::naive::FixpointConfig;
+use crate::parallel::Firing;
+use crate::rule_eval::{eval_rule_with, OverlaySource};
 use ldl_core::unify::Subst;
-use ldl_core::{LdlError, Literal, Pred, Program, Result, Rule};
+use ldl_core::{LdlError, Literal, Pred, Program, Result};
 use ldl_index::IndexCatalog;
 use ldl_storage::{Database, Relation, SupportCounts, Tuple};
-use ldl_support::par::scoped_map;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// A batch of base-relation updates: inserts and retracts per
@@ -143,31 +149,15 @@ pub struct MaintenanceReport {
     pub metrics: Metrics,
 }
 
-/// How one stratum is maintained.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Strategy {
-    /// Non-recursive: per-tuple derivation counts.
-    Counting,
-    /// Non-recursive with grouping heads: recompute the stratum.
-    Recompute,
-    /// Recursive clique: delete-rederive.
-    DRed,
-}
-
-/// One evaluation group (stratum) of the engine's program.
-#[derive(Clone, Debug)]
-struct Group {
-    preds: Vec<Pred>,
-    rules: Vec<usize>,
-    strategy: Strategy,
-}
-
-/// Normalized per-predicate deltas flowing through the strata during
-/// one `apply_delta`. Entries are always non-empty relations.
+/// What flows through the strata during one `apply_delta`: normalized
+/// per-predicate deltas (entries are always non-empty relations) and
+/// the pre-update relation of every predicate changed so far — base
+/// pre-images first, each repaired stratum adding its own.
 #[derive(Default)]
 struct DeltaState {
     minus: HashMap<Pred, Relation>,
     plus: HashMap<Pred, Relation>,
+    old: HashMap<Pred, Relation>,
 }
 
 impl DeltaState {
@@ -184,7 +174,10 @@ pub struct Engine {
     program: Program,
     db: Database,
     cfg: FixpointConfig,
-    groups: Vec<Group>,
+    strata: Vec<Stratum>,
+    /// The program never changes, so its selected-index catalog is
+    /// solved once and borrowed by every evaluation and repair.
+    catalog: Option<IndexCatalog>,
     derived: HashMap<Pred, Relation>,
     support: HashMap<Pred, SupportCounts>,
     eval_metrics: Metrics,
@@ -196,43 +189,12 @@ impl Engine {
     /// order (see the module docs); non-recursive strata additionally
     /// get their [`SupportCounts`] populated.
     pub fn evaluate(program: &Program, db: &Database, cfg: &FixpointConfig) -> Result<Engine> {
-        let graph = DependencyGraph::build(program);
-        graph.check_stratified()?;
-        let mut groups = Vec::new();
-        for preds in evaluation_groups(&graph) {
-            let rules: Vec<usize> = program
-                .rules
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| preds.contains(&r.head.pred))
-                .map(|(i, _)| i)
-                .collect();
-            let recursive = preds.iter().any(|&p| graph.is_recursive(p));
-            let grouping = rules.iter().any(|&ri| has_grouping(&program.rules[ri]));
-            if recursive && grouping {
-                return Err(LdlError::Eval(format!(
-                    "grouping head {} inside a recursive clique is not stratifiable",
-                    program.rules[rules[0]].head
-                )));
-            }
-            let strategy = if recursive {
-                Strategy::DRed
-            } else if grouping {
-                Strategy::Recompute
-            } else {
-                Strategy::Counting
-            };
-            groups.push(Group {
-                preds,
-                rules,
-                strategy,
-            });
-        }
         let mut engine = Engine {
             program: program.clone(),
             db: db.clone(),
             cfg: cfg.clone(),
-            groups,
+            strata: strata(program)?,
+            catalog: cfg.catalog(program),
             derived: HashMap::new(),
             support: HashMap::new(),
             eval_metrics: Metrics::default(),
@@ -290,64 +252,40 @@ impl Engine {
             program,
             db,
             cfg,
-            groups,
+            strata,
+            catalog,
             derived,
             support,
             eval_metrics,
         } = self;
+        let ctx = EvalCtx::new(program, db, cfg, catalog);
         let mut metrics = Metrics::default();
-        *derived = program
-            .derived_preds()
-            .into_iter()
-            .map(|p| {
-                let rel = db
-                    .relation(p)
-                    .cloned()
-                    .unwrap_or_else(|| Relation::new(p.arity));
-                (p, rel)
-            })
-            .collect();
-        let catalog = cfg.catalog(program);
-        for group in groups.iter() {
-            match group.strategy {
-                Strategy::Counting | Strategy::Recompute => {
-                    if group.strategy == Strategy::Counting {
-                        for &p in &group.preds {
-                            // Asserted facts are axioms: one derivation each.
-                            let mut sup = SupportCounts::new();
-                            for t in derived[&p].rows() {
-                                sup.add(t, 1);
-                            }
-                            support.insert(p, sup);
-                        }
+        *derived = seed_derived(program, db);
+        for stratum in strata.iter() {
+            if !stratum.recursive && !stratum.grouping {
+                for &p in &stratum.preds {
+                    // Asserted facts are axioms: one derivation each.
+                    let mut sup = SupportCounts::new();
+                    for t in derived[&p].rows() {
+                        sup.add(t, 1);
                     }
-                    let (out, round_metrics) = {
-                        let firings: Vec<Firing> = group
-                            .rules
-                            .iter()
-                            .map(|&ri| Firing {
-                                rule_index: ri,
-                                overlay: None,
-                            })
-                            .collect();
-                        let base = |p: Pred| derived.get(&p).or_else(|| db.relation(p));
-                        run_round(program, &firings, &base, cfg.threads, cfg.plan(&catalog))?
-                    };
-                    metrics.absorb(round_metrics);
-                    metrics.iterations += 1;
-                    for (p, t) in out {
-                        if let Some(sup) = support.get_mut(&p) {
-                            sup.add(&t, 1);
-                        }
-                        if derived.get_mut(&p).expect("group relation").insert(t) {
-                            metrics.tuples_derived += 1;
-                        }
-                    }
-                }
-                Strategy::DRed => {
-                    eval_recursive_group(program, db, cfg, &catalog, group, derived, &mut metrics)?;
+                    support.insert(p, sup);
                 }
             }
+            // Every produced tuple is one derivation of it.
+            let mut count = |p: Pred, t: &Tuple, _new: bool| {
+                if let Some(sup) = support.get_mut(&p) {
+                    sup.add(t, 1);
+                }
+            };
+            eval_stratum(
+                &ctx,
+                stratum,
+                Mode::SemiNaive,
+                derived,
+                &mut metrics,
+                &mut count,
+            )?;
         }
         for rel in derived.values_mut() {
             rel.canonicalize();
@@ -443,18 +381,14 @@ impl Engine {
             .copied()
             .collect();
         if touched.is_empty() {
-            report.groups_skipped = self.groups.len();
+            report.groups_skipped = self.strata.len();
             return Ok(report);
         }
 
-        // Snapshot old states, then commit to the base relations. The
-        // maintainers extend `old` with derived-relation snapshots as
-        // they go, so keep a separate copy of just the base pre-images
-        // for rollback.
-        let mut old: HashMap<Pred, Relation> = HashMap::new();
+        // Snapshot old states, then commit to the base relations.
         for &p in &touched {
             let rel = self.db.relation_mut(p);
-            old.insert(p, rel.clone());
+            deltas.old.insert(p, rel.clone());
             if let Some(d) = deltas.minus.get(&p) {
                 report.base_retracted += rel.remove_batch(d.rows());
             }
@@ -462,17 +396,18 @@ impl Engine {
                 report.base_inserted += rel.extend(d.rows().iter().cloned());
             }
         }
-        let base_backup = old.clone();
 
-        match self.repair_groups(&mut deltas, &mut old, &mut report) {
+        match self.repair_strata(&mut deltas, &mut report) {
             Ok(()) => Ok(report),
             Err(e) => {
-                // Roll back: restore the touched base relations, then
-                // rebuild derived relations and support counts from
-                // scratch over the restored EDB. Evaluation is
-                // deterministic, so this reproduces the pre-delta
-                // state bit-for-bit.
-                for (p, rel) in base_backup {
+                // Roll back: take the base pre-images back out of the
+                // old-state map (repairs only ever add derived
+                // predicates to it), then rebuild derived relations and
+                // support counts from scratch over the restored EDB.
+                // Evaluation is deterministic, so this reproduces the
+                // pre-delta state bit-for-bit.
+                for p in touched {
+                    let rel = deltas.old.remove(&p).expect("base pre-image");
                     self.db.set_relation(p, rel);
                 }
                 self.full_eval().map_err(|re| {
@@ -487,18 +422,27 @@ impl Engine {
 
     /// The repair loop of [`Engine::apply_delta`]: walks strata
     /// bottom-up, skipping any whose body predicates are untouched.
-    fn repair_groups(
+    /// Recursive cliques run DRed, grouping strata recompute, every
+    /// other stratum counts derivations.
+    fn repair_strata(
         &mut self,
         deltas: &mut DeltaState,
-        old: &mut HashMap<Pred, Relation>,
         report: &mut MaintenanceReport,
     ) -> Result<()> {
-        let groups = self.groups.clone();
-        let cfg = self.cfg.clone();
-        let catalog = cfg.catalog(&self.program);
-        for group in &groups {
-            let touched = group.rules.iter().any(|&ri| {
-                self.program.rules[ri]
+        let Engine {
+            program,
+            db,
+            cfg,
+            strata,
+            catalog,
+            derived,
+            support,
+            ..
+        } = self;
+        let ctx = EvalCtx::new(program, db, cfg, catalog);
+        for stratum in strata.iter() {
+            let touched = stratum.rules.iter().any(|&ri| {
+                ctx.program.rules[ri]
                     .body
                     .iter()
                     .filter_map(Literal::as_atom)
@@ -509,143 +453,16 @@ impl Engine {
                 continue;
             }
             report.groups_touched += 1;
-            match group.strategy {
-                Strategy::Counting => maintain_counting(
-                    &self.program,
-                    &self.db,
-                    &cfg,
-                    &catalog,
-                    group,
-                    &mut self.derived,
-                    &mut self.support,
-                    deltas,
-                    old,
-                    report,
-                )?,
-                Strategy::Recompute => maintain_recompute(
-                    &self.program,
-                    &self.db,
-                    &cfg,
-                    &catalog,
-                    group,
-                    &mut self.derived,
-                    deltas,
-                    old,
-                    report,
-                )?,
-                Strategy::DRed => maintain_dred(
-                    &self.program,
-                    &self.db,
-                    &cfg,
-                    &catalog,
-                    group,
-                    &mut self.derived,
-                    deltas,
-                    old,
-                    report,
-                )?,
+            if stratum.recursive {
+                maintain_dred(&ctx, stratum, derived, deltas, report)?;
+            } else if stratum.grouping {
+                maintain_recompute(&ctx, stratum, derived, deltas, report)?;
+            } else {
+                maintain_counting(&ctx, stratum, derived, support, deltas, report)?;
             }
         }
         Ok(())
     }
-}
-
-/// The semi-naive fixpoint of one recursive clique (mirrors
-/// `eval_program_seminaive`'s clique loop; kept separate so the
-/// from-scratch pass and maintenance share the engine's group
-/// structure).
-fn eval_recursive_group(
-    program: &Program,
-    db: &Database,
-    cfg: &FixpointConfig,
-    catalog: &Option<IndexCatalog>,
-    group: &Group,
-    derived: &mut HashMap<Pred, Relation>,
-    metrics: &mut Metrics,
-) -> Result<()> {
-    let in_group = |p: Pred| group.preds.contains(&p);
-    let (exit, rec): (Vec<usize>, Vec<usize>) = group
-        .rules
-        .iter()
-        .partition(|&&ri| !program.rules[ri].body_atoms().any(|a| in_group(a.pred)));
-
-    let mut delta: HashMap<Pred, Relation> = group
-        .preds
-        .iter()
-        .map(|&p| (p, derived[&p].clone()))
-        .collect();
-    let (out, round_metrics) = {
-        let firings: Vec<Firing> = exit
-            .iter()
-            .map(|&ri| Firing {
-                rule_index: ri,
-                overlay: None,
-            })
-            .collect();
-        let base = |p: Pred| derived.get(&p).or_else(|| db.relation(p));
-        run_round(program, &firings, &base, cfg.threads, cfg.plan(catalog))?
-    };
-    metrics.absorb(round_metrics);
-    for (p, t) in out {
-        if derived.get_mut(&p).expect("relation").insert(t.clone()) {
-            metrics.tuples_derived += 1;
-            delta.get_mut(&p).expect("delta relation").insert(t);
-        }
-    }
-    metrics.iterations += 1;
-
-    let mut iters = 0usize;
-    while delta.values().any(|r| !r.is_empty()) {
-        iters += 1;
-        if iters > cfg.max_iterations {
-            return Err(LdlError::Eval(format!(
-                "semi-naive fixpoint for {:?} exceeded {} iterations (divergent / unsafe)",
-                group
-                    .preds
-                    .iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>(),
-                cfg.max_iterations
-            )));
-        }
-        metrics.iterations += 1;
-        let (produced, round_metrics) = {
-            let mut firings: Vec<Firing> = Vec::new();
-            for &ri in &rec {
-                let rule = &program.rules[ri];
-                for (j, l) in rule.body.iter().enumerate() {
-                    let delta_occ = l
-                        .as_atom()
-                        .filter(|a| !a.negated && in_group(a.pred))
-                        .map(|a| &delta[&a.pred]);
-                    if let Some(drel) = delta_occ {
-                        if !drel.is_empty() {
-                            firings.push(Firing {
-                                rule_index: ri,
-                                overlay: Some((j, drel)),
-                            });
-                        }
-                    }
-                }
-            }
-            let base = |p: Pred| derived.get(&p).or_else(|| db.relation(p));
-            run_round(program, &firings, &base, cfg.threads, cfg.plan(catalog))?
-        };
-        metrics.absorb(round_metrics);
-        let mut next_delta: HashMap<Pred, Relation> = group
-            .preds
-            .iter()
-            .map(|&p| (p, Relation::new(p.arity)))
-            .collect();
-        for (p, t) in produced {
-            if derived.get_mut(&p).expect("relation").insert(t.clone()) {
-                metrics.tuples_derived += 1;
-                next_delta.get_mut(&p).expect("delta").insert(t);
-            }
-        }
-        delta = next_delta;
-    }
-    Ok(())
 }
 
 /// Which side of the change a delta round computes.
@@ -673,31 +490,23 @@ enum OldSpan {
     None,
 }
 
-/// One maintenance rule firing: an owned rule (negated delta
-/// occurrences are flipped positive so the delta enumerates) plus
-/// per-position relation overrides.
-struct DeltaFiring<'a> {
-    rule: Rule,
-    head: Pred,
-    overrides: Vec<(usize, &'a Relation)>,
-}
-
-/// Builds the delta firings of `rules` for one direction: one firing
-/// per body occurrence of a predicate with a relevant delta, the
-/// occurrence reading the delta relation and other changed-predicate
-/// occurrences reading old state per `old_span`.
-fn build_delta_firings<'a>(
-    program: &Program,
-    rules: &[usize],
+/// Builds the delta firings of `stratum`'s rules for one direction: one
+/// firing per body occurrence of a predicate with a relevant delta in
+/// `minus`/`plus`, the occurrence reading the delta relation (a negated
+/// one flipped positive so the delta enumerates) and other
+/// changed-predicate occurrences reading `old` state per `old_span`.
+fn delta_firings<'a>(
+    program: &'a Program,
+    stratum: &Stratum,
     minus: &'a HashMap<Pred, Relation>,
     plus: &'a HashMap<Pred, Relation>,
     old: &'a HashMap<Pred, Relation>,
     dir: Dir,
     old_span: OldSpan,
-) -> Vec<DeltaFiring<'a>> {
+) -> Vec<Firing<'a>> {
     let member = Pred::new("member", 2);
     let mut firings = Vec::new();
-    for &ri in rules {
+    for &ri in &stratum.rules {
         let rule = &program.rules[ri];
         for (k, lit) in rule.body.iter().enumerate() {
             let Some(a) = lit.as_atom() else { continue };
@@ -711,9 +520,9 @@ fn build_delta_firings<'a>(
             let Some(drel) = drel.filter(|r| !r.is_empty()) else {
                 continue;
             };
-            let mut frule = rule.clone();
+            let mut frule = Cow::Borrowed(rule);
             if a.negated {
-                if let Literal::Atom(fa) = &mut frule.body[k] {
+                if let Literal::Atom(fa) = &mut frule.to_mut().body[k] {
                     fa.negated = false;
                 }
             }
@@ -723,16 +532,13 @@ fn build_delta_firings<'a>(
                     if j == k || (old_span == OldSpan::Suffix && j < k) {
                         continue;
                     }
-                    if let Some(a2) = l2.as_atom() {
-                        if let Some(o) = old.get(&a2.pred) {
-                            overrides.push((j, o));
-                        }
+                    if let Some(o) = l2.as_atom().and_then(|a2| old.get(&a2.pred)) {
+                        overrides.push((j, o));
                     }
                 }
             }
-            firings.push(DeltaFiring {
+            firings.push(Firing {
                 rule: frule,
-                head: rule.head.pred,
                 overrides,
             });
         }
@@ -740,84 +546,31 @@ fn build_delta_firings<'a>(
     firings
 }
 
-/// A [`RelSource`] with per-position overrides over a per-predicate
-/// base — the multi-position generalization of `OverlaySource` that
-/// delta firings need (delta at one slot, old state at others).
-struct MultiSource<'s, 'a, F>
-where
-    F: Fn(Pred) -> Option<&'a Relation>,
-{
-    base: F,
-    overrides: &'s [(usize, &'a Relation)],
+/// Runs one round of maintenance firings, adding its work to `metrics`.
+fn run_firings(
+    ctx: &EvalCtx<'_>,
+    firings: &[Firing<'_>],
+    derived: &HashMap<Pred, Relation>,
+    metrics: &mut Metrics,
+) -> Result<Vec<(Pred, Tuple)>> {
+    let (out, m) = ctx.round(firings, derived)?;
+    metrics.absorb(m);
+    Ok(out)
 }
 
-impl<'s, 'a, F> RelSource for MultiSource<'s, 'a, F>
-where
-    F: Fn(Pred) -> Option<&'a Relation>,
-{
-    fn relation(&self, lit_index: usize, pred: Pred) -> Option<&Relation> {
-        for (i, rel) in self.overrides {
-            if *i == lit_index {
-                return Some(rel);
-            }
-        }
-        (self.base)(pred)
+/// Maintenance reports count rule work only: rounds and first-time
+/// derivations are properties of a from-scratch evaluation.
+fn work_only(m: Metrics) -> Metrics {
+    Metrics {
+        tuples_produced: m.tuples_produced,
+        rule_firings: m.rule_firings,
+        ..Metrics::default()
     }
-}
-
-/// Executes delta firings on up to `threads` workers, merging the
-/// produced `(head, tuple)` stream in firing order — the same
-/// deterministic merge discipline as the round executor, so maintenance
-/// results are bit-for-bit identical at any thread count.
-fn run_delta_round<'a>(
-    firings: &[DeltaFiring<'a>],
-    base: &(dyn Fn(Pred) -> Option<&'a Relation> + Sync),
-    threads: usize,
-    plan: AccessPlan<'_>,
-) -> Result<(Vec<(Pred, Tuple)>, Metrics)> {
-    let scope = ldl_storage::scope_handle();
-    let results = scoped_map(
-        threads,
-        firings.len(),
-        |i| -> Result<(Vec<(Pred, Tuple)>, Metrics)> {
-            let _counters = scope.enter();
-            let firing = &firings[i];
-            let order: Vec<usize> = (0..firing.rule.body.len()).collect();
-            let source = MultiSource {
-                base: |p: Pred| base(p),
-                overrides: firing.overrides.as_slice(),
-            };
-            let mut out: Vec<(Pred, Tuple)> = Vec::new();
-            let st = eval_rule_with(
-                &firing.rule,
-                &order,
-                &Subst::new(),
-                &source,
-                plan,
-                &mut |t| out.push((firing.head, t)),
-            )?;
-            let metrics = Metrics {
-                tuples_produced: st.produced,
-                rule_firings: 1,
-                ..Metrics::default()
-            };
-            Ok((out, metrics))
-        },
-    );
-    let mut merged: Vec<(Pred, Tuple)> = Vec::new();
-    let mut metrics = Metrics::default();
-    for res in results {
-        let (tuples, m) = res?;
-        metrics.absorb(m);
-        merged.extend(tuples);
-    }
-    Ok((merged, metrics))
 }
 
 /// Records a stratum's net changes into the flowing delta state and the
 /// report.
-#[allow(clippy::too_many_arguments)]
-fn commit_group_delta(
+fn commit_stratum_delta(
     p: Pred,
     out_minus: Relation,
     out_plus: Relation,
@@ -841,47 +594,27 @@ fn commit_group_delta(
 /// Counting maintenance of one non-recursive stratum: exact lost/gained
 /// derivation multisets via finite differencing, committed as
 /// `new count = old + gained - lost`.
-#[allow(clippy::too_many_arguments)]
 fn maintain_counting(
-    program: &Program,
-    db: &Database,
-    cfg: &FixpointConfig,
-    catalog: &Option<IndexCatalog>,
-    group: &Group,
+    ctx: &EvalCtx<'_>,
+    stratum: &Stratum,
     derived: &mut HashMap<Pred, Relation>,
     support: &mut HashMap<Pred, SupportCounts>,
     deltas: &mut DeltaState,
-    old: &mut HashMap<Pred, Relation>,
     report: &mut MaintenanceReport,
 ) -> Result<()> {
-    debug_assert_eq!(group.preds.len(), 1, "non-recursive strata are singletons");
-    let p = group.preds[0];
-    let (lost, gained) = {
-        let base = |q: Pred| derived.get(&q).or_else(|| db.relation(q));
-        let dfir = build_delta_firings(
-            program,
-            &group.rules,
-            &deltas.minus,
-            &deltas.plus,
-            old,
-            Dir::Destructive,
-            OldSpan::Suffix,
-        );
-        let (lost, m) = run_delta_round(&dfir, &base, cfg.threads, cfg.plan(catalog))?;
-        report.metrics.absorb(m);
-        let cfir = build_delta_firings(
-            program,
-            &group.rules,
-            &deltas.minus,
-            &deltas.plus,
-            old,
-            Dir::Constructive,
-            OldSpan::Suffix,
-        );
-        let (gained, m) = run_delta_round(&cfir, &base, cfg.threads, cfg.plan(catalog))?;
-        report.metrics.absorb(m);
-        (lost, gained)
+    debug_assert_eq!(
+        stratum.preds.len(),
+        1,
+        "non-recursive strata are singletons"
+    );
+    let p = stratum.preds[0];
+    let mut side = |dir: Dir| {
+        let DeltaState { minus, plus, old } = &*deltas;
+        let firings = delta_firings(ctx.program, stratum, minus, plus, old, dir, OldSpan::Suffix);
+        run_firings(ctx, &firings, derived, &mut report.metrics)
     };
+    let lost = side(Dir::Destructive)?;
+    let gained = side(Dir::Constructive)?;
     if lost.is_empty() && gained.is_empty() {
         return Ok(());
     }
@@ -930,9 +663,9 @@ fn maintain_counting(
     rel.canonicalize();
     sup.set_synced(rel.version());
     if !out_minus.is_empty() || !out_plus.is_empty() {
-        old.insert(p, before_rel);
+        deltas.old.insert(p, before_rel);
     }
-    commit_group_delta(p, out_minus, out_plus, deltas, report);
+    commit_stratum_delta(p, out_minus, out_plus, deltas, report);
     Ok(())
 }
 
@@ -941,49 +674,35 @@ fn maintain_counting(
 /// database) and diff against the previous output. Groups re-emit in
 /// sorted group-key order because the replacement is canonicalized like
 /// every maintained relation.
-#[allow(clippy::too_many_arguments)]
 fn maintain_recompute(
-    program: &Program,
-    db: &Database,
-    cfg: &FixpointConfig,
-    catalog: &Option<IndexCatalog>,
-    group: &Group,
+    ctx: &EvalCtx<'_>,
+    stratum: &Stratum,
     derived: &mut HashMap<Pred, Relation>,
     deltas: &mut DeltaState,
-    old: &mut HashMap<Pred, Relation>,
     report: &mut MaintenanceReport,
 ) -> Result<()> {
-    let mut fresh: HashMap<Pred, Relation> = group
-        .preds
-        .iter()
-        .map(|&p| {
-            let rel = db
-                .relation(p)
-                .cloned()
-                .unwrap_or_else(|| Relation::new(p.arity));
-            (p, rel)
-        })
-        .collect();
-    let (out, m) = {
-        let firings: Vec<Firing> = group
-            .rules
-            .iter()
-            .map(|&ri| Firing {
-                rule_index: ri,
-                overlay: None,
-            })
-            .collect();
-        let base = |q: Pred| derived.get(&q).or_else(|| db.relation(q));
-        run_round(program, &firings, &base, cfg.threads, cfg.plan(catalog))?
-    };
-    report.metrics.absorb(m);
-    for (p, t) in out {
-        fresh.get_mut(&p).expect("group relation").insert(t);
+    // The stratum's rules never read its own predicates, so swapping the
+    // seed relations in and running the driver's single pass recomputes
+    // them in place; the previous output is held aside for the diff.
+    let mut previous: HashMap<Pred, Relation> = HashMap::new();
+    for &p in &stratum.preds {
+        let out = derived.insert(p, seed_relation(ctx.db, p));
+        previous.insert(p, out.expect("derived relation"));
     }
-    for &p in &group.preds {
-        let mut new_rel = fresh.remove(&p).expect("group relation");
+    let mut metrics = Metrics::default();
+    eval_stratum(
+        ctx,
+        stratum,
+        Mode::SemiNaive,
+        derived,
+        &mut metrics,
+        &mut |_, _, _| {},
+    )?;
+    report.metrics.absorb(work_only(metrics));
+    for &p in &stratum.preds {
+        let old_rel = previous.remove(&p).expect("stratum relation");
+        let new_rel = derived.get_mut(&p).expect("derived relation");
         new_rel.canonicalize();
-        let old_rel = derived.get(&p).expect("derived relation");
         let mut out_minus = Relation::new(p.arity);
         for t in old_rel.rows() {
             if !new_rel.contains(t) {
@@ -997,11 +716,11 @@ fn maintain_recompute(
             }
         }
         if out_minus.is_empty() && out_plus.is_empty() {
-            continue; // same set: keep the existing canonical relation
+            *new_rel = old_rel; // same set: keep the existing canonical relation
+            continue;
         }
-        old.insert(p, old_rel.clone());
-        derived.insert(p, new_rel);
-        commit_group_delta(p, out_minus, out_plus, deltas, report);
+        deltas.old.insert(p, old_rel);
+        commit_stratum_delta(p, out_minus, out_plus, deltas, report);
     }
     Ok(())
 }
@@ -1011,54 +730,36 @@ fn maintain_recompute(
 /// over-deleted tuples that still have an immediate derivation from the
 /// surviving state, then propagate re-derivations and the insertion
 /// delta semi-naively over the current state.
-#[allow(clippy::too_many_arguments)]
 fn maintain_dred(
-    program: &Program,
-    db: &Database,
-    cfg: &FixpointConfig,
-    catalog: &Option<IndexCatalog>,
-    group: &Group,
+    ctx: &EvalCtx<'_>,
+    stratum: &Stratum,
     derived: &mut HashMap<Pred, Relation>,
     deltas: &mut DeltaState,
-    old: &mut HashMap<Pred, Relation>,
     report: &mut MaintenanceReport,
 ) -> Result<()> {
-    let plan_threads = cfg.threads;
     let empty: HashMap<Pred, Relation> = HashMap::new();
     // Pre-update snapshot: phase A's evaluation state, the downstream
-    // groups' old state, and the baseline the net delta is diffed from.
-    for &p in &group.preds {
-        old.insert(p, derived[&p].clone());
+    // strata's old state, and the baseline the net delta is diffed from.
+    for &p in &stratum.preds {
+        deltas.old.insert(p, derived[&p].clone());
     }
+    let DeltaState { minus, plus, old } = &*deltas;
 
     // --- Phase A: over-deletion fixpoint over the old state. ---
-    let mut overdeleted: HashMap<Pred, Relation> = group
-        .preds
-        .iter()
-        .map(|&p| (p, Relation::new(p.arity)))
-        .collect();
-    let mut pending = {
-        let fir = build_delta_firings(
-            program,
-            &group.rules,
-            &deltas.minus,
-            &deltas.plus,
-            old,
-            Dir::Destructive,
-            OldSpan::All,
-        );
-        let base = |q: Pred| derived.get(&q).or_else(|| db.relation(q));
-        let (out, m) = run_delta_round(&fir, &base, plan_threads, cfg.plan(catalog))?;
-        report.metrics.absorb(m);
-        out
-    };
+    let mut overdeleted = stratum.empty_relations();
+    let firings = delta_firings(
+        ctx.program,
+        stratum,
+        minus,
+        plus,
+        old,
+        Dir::Destructive,
+        OldSpan::All,
+    );
+    let mut pending = run_firings(ctx, &firings, derived, &mut report.metrics)?;
     let mut iters = 0usize;
     loop {
-        let mut round_del: HashMap<Pred, Relation> = group
-            .preds
-            .iter()
-            .map(|&p| (p, Relation::new(p.arity)))
-            .collect();
+        let mut round_del = stratum.empty_relations();
         for (p, t) in pending {
             // Phase A evaluates entirely over the `old` overrides, so
             // `derived` stays untouched until the fixpoint settles —
@@ -1070,7 +771,7 @@ fn maintain_dred(
                 continue;
             }
             // Asserted facts are axioms, never over-deleted.
-            if db.relation(p).is_some_and(|r| r.contains(&t)) {
+            if ctx.db.relation(p).is_some_and(|r| r.contains(&t)) {
                 continue;
             }
             overdeleted.get_mut(&p).expect("clique").insert(t.clone());
@@ -1080,32 +781,17 @@ fn maintain_dred(
             break;
         }
         iters += 1;
-        if iters > cfg.max_iterations {
-            return Err(LdlError::Eval(format!(
-                "DRed over-deletion for {:?} exceeded {} iterations",
-                group
-                    .preds
-                    .iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>(),
-                cfg.max_iterations
-            )));
-        }
-        pending = {
-            let fir = build_delta_firings(
-                program,
-                &group.rules,
-                &round_del,
-                &empty,
-                old,
-                Dir::Destructive,
-                OldSpan::All,
-            );
-            let base = |q: Pred| derived.get(&q).or_else(|| db.relation(q));
-            let (out, m) = run_delta_round(&fir, &base, plan_threads, cfg.plan(catalog))?;
-            report.metrics.absorb(m);
-            out
-        };
+        ctx.check_bound(iters, "DRed over-deletion", &stratum.preds)?;
+        let firings = delta_firings(
+            ctx.program,
+            stratum,
+            &round_del,
+            &empty,
+            old,
+            Dir::Destructive,
+            OldSpan::All,
+        );
+        pending = run_firings(ctx, &firings, derived, &mut report.metrics)?;
     }
 
     // Apply the over-deletion in one batched pass per predicate: the
@@ -1123,116 +809,60 @@ fn maintain_dred(
     }
 
     // --- Phase B: re-derive survivors from the post-deletion state. ---
-    let mut rederived: Vec<(Pred, Tuple)> = Vec::new();
-    {
-        let base = |q: Pred| derived.get(&q).or_else(|| db.relation(q));
-        for &p in &group.preds {
-            for t in overdeleted[&p].rows() {
-                if has_immediate_derivation(program, &group.rules, p, t, &base, cfg.plan(catalog))?
-                {
-                    rederived.push((p, t.clone()));
-                }
+    let mut round_ins = stratum.empty_relations();
+    for &p in &stratum.preds {
+        for t in overdeleted[&p].rows() {
+            if has_immediate_derivation(ctx, stratum, p, t, derived)? {
+                round_ins.get_mut(&p).expect("clique").insert(t.clone());
             }
         }
     }
-    let mut round_ins: HashMap<Pred, Relation> = group
-        .preds
-        .iter()
-        .map(|&p| (p, Relation::new(p.arity)))
-        .collect();
-    let mut out_plus: HashMap<Pred, Relation> = group
-        .preds
-        .iter()
-        .map(|&p| (p, Relation::new(p.arity)))
-        .collect();
-    for (p, t) in rederived {
-        derived
-            .get_mut(&p)
-            .expect("clique relation")
-            .insert(t.clone());
-        round_ins.get_mut(&p).expect("clique").insert(t);
+    for (p, rederived) in &round_ins {
+        let rel = derived.get_mut(p).expect("clique relation");
+        rel.extend(rederived.rows().iter().cloned());
     }
 
     // --- Phase C: seed new derivations from the incoming constructive
-    // deltas, then propagate everything semi-naively. ---
-    let seeded = {
-        let fir = build_delta_firings(
-            program,
-            &group.rules,
-            &deltas.minus,
-            &deltas.plus,
-            old,
-            Dir::Constructive,
-            OldSpan::None,
-        );
-        let base = |q: Pred| derived.get(&q).or_else(|| db.relation(q));
-        let (out, m) = run_delta_round(&fir, &base, plan_threads, cfg.plan(catalog))?;
-        report.metrics.absorb(m);
-        out
+    // deltas, then propagate everything semi-naively — the driver's
+    // differential loop, started from this delta instead of an exit
+    // round. ---
+    let firings = delta_firings(
+        ctx.program,
+        stratum,
+        minus,
+        plus,
+        old,
+        Dir::Constructive,
+        OldSpan::None,
+    );
+    let seeded = run_firings(ctx, &firings, derived, &mut report.metrics)?;
+    let mut out_plus = stratum.empty_relations();
+    let mut note_new = |p: Pred, t: &Tuple, new: bool| {
+        if new && !old[&p].contains(t) {
+            out_plus.get_mut(&p).expect("clique").insert(t.clone());
+        }
     };
-    for (p, t) in seeded {
-        if derived
-            .get_mut(&p)
-            .expect("clique relation")
-            .insert(t.clone())
-        {
-            if !old[&p].contains(&t) {
-                out_plus.get_mut(&p).expect("clique").insert(t.clone());
-            }
-            round_ins.get_mut(&p).expect("clique").insert(t);
-        }
-    }
-    let mut iters = 0usize;
-    while round_ins.values().any(|r| !r.is_empty()) {
-        iters += 1;
-        if iters > cfg.max_iterations {
-            return Err(LdlError::Eval(format!(
-                "DRed insertion propagation for {:?} exceeded {} iterations",
-                group
-                    .preds
-                    .iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>(),
-                cfg.max_iterations
-            )));
-        }
-        let produced = {
-            let fir = build_delta_firings(
-                program,
-                &group.rules,
-                &empty,
-                &round_ins,
-                old,
-                Dir::Constructive,
-                OldSpan::None,
-            );
-            let base = |q: Pred| derived.get(&q).or_else(|| db.relation(q));
-            let (out, m) = run_delta_round(&fir, &base, plan_threads, cfg.plan(catalog))?;
-            report.metrics.absorb(m);
-            out
-        };
-        let mut next: HashMap<Pred, Relation> = group
-            .preds
-            .iter()
-            .map(|&p| (p, Relation::new(p.arity)))
-            .collect();
-        for (p, t) in produced {
-            if derived
-                .get_mut(&p)
-                .expect("clique relation")
-                .insert(t.clone())
-            {
-                if !old[&p].contains(&t) {
-                    out_plus.get_mut(&p).expect("clique").insert(t.clone());
-                }
-                next.get_mut(&p).expect("clique").insert(t);
-            }
-        }
-        round_ins = next;
-    }
+    let mut metrics = Metrics::default();
+    insert_round(
+        seeded,
+        derived,
+        &mut metrics,
+        &mut note_new,
+        Some(&mut round_ins),
+    );
+    propagate(
+        ctx,
+        stratum,
+        "DRed insertion propagation",
+        derived,
+        round_ins,
+        &mut metrics,
+        &mut note_new,
+    )?;
+    report.metrics.absorb(work_only(metrics));
 
     // --- Net deltas and canonical order. ---
-    for &p in &group.preds {
+    for &p in &stratum.preds {
         let rel = derived.get_mut(&p).expect("clique relation");
         let mut out_minus = Relation::new(p.arity);
         for t in overdeleted[&p].rows() {
@@ -1242,25 +872,29 @@ fn maintain_dred(
         }
         rel.canonicalize();
         let plus = out_plus.remove(&p).expect("clique");
-        commit_group_delta(p, out_minus, plus, deltas, report);
+        commit_stratum_delta(p, out_minus, plus, deltas, report);
     }
     Ok(())
 }
 
-/// Does `t` have an immediate derivation through any of `rules` for
-/// head predicate `p`, evaluated against `base`? Unifies the rule head
-/// with `t` and runs the body from that seed — the selective,
-/// index-probed backward check DRed's re-derivation phase needs.
-fn has_immediate_derivation<'a>(
-    program: &Program,
-    rules: &[usize],
+/// Does `t` have an immediate derivation through any of the stratum's
+/// rules for head predicate `p`, evaluated against the current state?
+/// Unifies the rule head with `t` and runs the body from that seed —
+/// the selective, index-probed backward check DRed's re-derivation
+/// phase needs (one seeded probe per tuple, not a round of firings).
+fn has_immediate_derivation(
+    ctx: &EvalCtx<'_>,
+    stratum: &Stratum,
     p: Pred,
     t: &Tuple,
-    base: &(dyn Fn(Pred) -> Option<&'a Relation> + Sync),
-    plan: AccessPlan<'_>,
+    derived: &HashMap<Pred, Relation>,
 ) -> Result<bool> {
-    for &ri in rules {
-        let rule = &program.rules[ri];
+    let source = OverlaySource {
+        base: |q: Pred| derived.get(&q).or_else(|| ctx.db.relation(q)),
+        overrides: &[],
+    };
+    for &ri in &stratum.rules {
+        let rule = &ctx.program.rules[ri];
         if rule.head.pred != p {
             continue;
         }
@@ -1275,12 +909,8 @@ fn has_immediate_derivation<'a>(
             continue;
         }
         let order: Vec<usize> = (0..rule.body.len()).collect();
-        let source = MultiSource {
-            base: |q: Pred| base(q),
-            overrides: &[],
-        };
         let mut found = false;
-        eval_rule_with(rule, &order, &seed, &source, plan, &mut |_| {
+        eval_rule_with(rule, &order, &seed, &source, ctx.plan, &mut |_| {
             found = true;
         })?;
         if found {

@@ -77,34 +77,12 @@ fn pushdown_predicate(b: &BuiltinPred, acc: &Intermediate) -> Option<ColPredicat
 /// negation, or unbound head variables mean the order is unsafe.
 ///
 /// Column-vs-constant comparison filters run through the *lenient*
-/// [`crate::ops::select`]: an ordering comparison over unordered values
-/// silently drops the row, where the pipelined executor's per-row
-/// builtin raises a typed error. Use [`eval_rule_materialized_cfg`]
-/// with [`crate::FixpointConfig::strict_select`] set to route those
-/// filters through [`crate::ops::select_strict`] and restore agreement
-/// on ill-typed data.
+/// [`crate::ops::select`] unless `strict` is set: an ordering
+/// comparison over unordered values silently drops the row, where the
+/// pipelined executor's per-row builtin raises a typed error. With
+/// `strict` those filters go through [`crate::ops::select_strict`],
+/// restoring agreement on ill-typed data.
 pub fn eval_rule_materialized(
-    rule: &Rule,
-    order: &[usize],
-    method: JoinMethod,
-    source: &dyn RelSource,
-) -> Result<Relation> {
-    eval_rule_materialized_inner(rule, order, method, source, false)
-}
-
-/// [`eval_rule_materialized`] honoring the engine configuration's
-/// selection strictness (see [`crate::FixpointConfig::strict_select`]).
-pub fn eval_rule_materialized_cfg(
-    rule: &Rule,
-    order: &[usize],
-    method: JoinMethod,
-    source: &dyn RelSource,
-    cfg: &crate::FixpointConfig,
-) -> Result<Relation> {
-    eval_rule_materialized_inner(rule, order, method, source, cfg.strict_select)
-}
-
-fn eval_rule_materialized_inner(
     rule: &Rule,
     order: &[usize],
     method: JoinMethod,
@@ -259,7 +237,7 @@ fn eval_rule_materialized_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rule_eval::{eval_rule, OverlaySource};
+    use crate::rule_eval::{eval_rule_with, AccessPlan, OverlaySource};
     use ldl_core::parser::parse_program;
     use ldl_core::Pred;
     use ldl_storage::Database;
@@ -270,12 +248,12 @@ mod tests {
         let rule = &program.rules[rule_idx];
         let source = OverlaySource {
             base: |p: Pred| db.relation(p),
-            overlay: None,
-            restrict: None,
+            overrides: &[],
         };
-        let mat = eval_rule_materialized(rule, order, JoinMethod::Hash, &source).unwrap();
+        let mat = eval_rule_materialized(rule, order, JoinMethod::Hash, &source, false).unwrap();
         let mut pipe = Relation::new(rule.head.args.len());
-        eval_rule(rule, order, &Subst::new(), &source, &mut |t| {
+        let plan = AccessPlan::HashOnDemand;
+        eval_rule_with(rule, order, &Subst::new(), &source, plan, &mut |t| {
             pipe.insert(t);
         })
         .unwrap();
@@ -350,12 +328,11 @@ mod tests {
         let rule = &program.rules[0];
         let source = OverlaySource {
             base: |p: Pred| db.relation(p),
-            overlay: None,
-            restrict: None,
+            overrides: &[],
         };
         let results: Vec<Relation> = JoinMethod::ALL
             .iter()
-            .map(|&m| eval_rule_materialized(rule, &[0, 1], m, &source).unwrap())
+            .map(|&m| eval_rule_materialized(rule, &[0, 1], m, &source, false).unwrap())
             .collect();
         assert_eq!(results[0], results[1]);
         assert_eq!(results[0], results[2]);
@@ -388,12 +365,14 @@ mod tests {
         let rule = &program.rules[0];
         let source = OverlaySource {
             base: |p: Pred| db.relation(p),
-            overlay: None,
-            restrict: None,
+            overrides: &[],
         };
-        let r1 = eval_rule_materialized(rule, &[0, 1, 2], JoinMethod::Hash, &source).unwrap();
-        let r2 = eval_rule_materialized(rule, &[2, 1, 0], JoinMethod::Hash, &source).unwrap();
-        let r3 = eval_rule_materialized(rule, &[1, 2, 0], JoinMethod::Index, &source).unwrap();
+        let r1 =
+            eval_rule_materialized(rule, &[0, 1, 2], JoinMethod::Hash, &source, false).unwrap();
+        let r2 =
+            eval_rule_materialized(rule, &[2, 1, 0], JoinMethod::Hash, &source, false).unwrap();
+        let r3 =
+            eval_rule_materialized(rule, &[1, 2, 0], JoinMethod::Index, &source, false).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(r1, r3);
         assert_eq!(r1.len(), 2);
@@ -410,10 +389,25 @@ mod tests {
         let rule = &program.rules[0];
         let source = OverlaySource {
             base: |p: Pred| db.relation(p),
-            overlay: None,
-            restrict: None,
+            overrides: &[],
         };
-        assert!(eval_rule_materialized(rule, &[1, 0], JoinMethod::Hash, &source).is_err());
+        assert!(eval_rule_materialized(rule, &[1, 0], JoinMethod::Hash, &source, false).is_err());
+    }
+
+    /// On ill-typed data the lenient selection drops the row the
+    /// pipelined executor would have raised on; `strict` raises too.
+    #[test]
+    fn strict_selection_errors_where_lenient_drops() {
+        let program = parse_program("n(1). n(tom).\nbig(X) <- n(X), X > 0.").unwrap();
+        let db = Database::from_program(&program);
+        let rule = &program.rules[0];
+        let source = OverlaySource {
+            base: |p: Pred| db.relation(p),
+            overrides: &[],
+        };
+        let run = |strict| eval_rule_materialized(rule, &[0, 1], JoinMethod::Hash, &source, strict);
+        assert_eq!(run(false).unwrap().len(), 1);
+        assert!(run(true).is_err());
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! which is exactly why the paper's method set includes semi-naive and
 //! the binding-propagating methods (magic sets, counting).
 
+use crate::driver::{eval_program, Mode};
 use crate::metrics::Metrics;
-use crate::parallel::{run_round, Firing};
 use crate::rule_eval::AccessPlan;
-use ldl_core::depgraph::DependencyGraph;
-use ldl_core::{LdlError, Pred, Program, Result};
+use ldl_core::{Pred, Program, Result};
 use ldl_index::IndexCatalog;
 use ldl_storage::{Database, Relation};
 use std::collections::HashMap;
@@ -61,9 +60,9 @@ impl AccessPaths {
 /// Runtime knobs of the fixpoint evaluators: the iteration bound
 /// guarding non-terminating fixpoints (an unsafe execution shows up as
 /// an iteration-bound overflow at run time), the worker-thread count
-/// for round-level parallelism, and the access-path / strictness
-/// policies. Answers and metrics are identical across every setting of
-/// `threads` and `access_paths`.
+/// for round-level parallelism, and the access-path policy. Answers
+/// and metrics are identical across every setting of `threads` and
+/// `access_paths`.
 #[derive(Clone, Debug)]
 pub struct FixpointConfig {
     /// Maximum iterations per recursive clique before the evaluation is
@@ -77,11 +76,6 @@ pub struct FixpointConfig {
     /// Defaults to `LDL_ACCESS_PATHS` (`selected` / `hash` / `scan`) or
     /// [`AccessPaths::Selected`].
     pub access_paths: AccessPaths,
-    /// Route materialized selections through `ops::select_strict`, so an
-    /// ordering comparison over unordered values is a typed error
-    /// instead of a silently dropped row. Default `false`: the lenient
-    /// `ops::select` collapse is the documented materialized behavior.
-    pub strict_select: bool,
     /// Static-analysis gate run by the query entry points before
     /// planning (see [`AnalysisPolicy`]).
     pub analysis: AnalysisPolicy,
@@ -126,7 +120,6 @@ impl Default for FixpointConfig {
             max_iterations: 100_000,
             threads: ldl_support::par::default_threads(),
             access_paths: AccessPaths::from_env(),
-            strict_select: false,
             analysis: AnalysisPolicy::default(),
             rewrite: false,
             index_catalog: None,
@@ -152,12 +145,6 @@ impl FixpointConfig {
     /// Sets the access-path policy.
     pub fn with_access_paths(mut self, access_paths: AccessPaths) -> FixpointConfig {
         self.access_paths = access_paths;
-        self
-    }
-
-    /// Sets the strict-selection flag (see [`FixpointConfig::strict_select`]).
-    pub fn with_strict_select(mut self, strict: bool) -> FixpointConfig {
-        self.strict_select = strict;
         self
     }
 
@@ -213,116 +200,13 @@ impl FixpointConfig {
     }
 }
 
-/// Groups derived predicates into evaluation units, bottom-up: each
-/// recursive clique is one group, every other predicate is a singleton.
-pub(crate) fn evaluation_groups(graph: &DependencyGraph) -> Vec<Vec<Pred>> {
-    let mut groups: Vec<Vec<Pred>> = Vec::new();
-    let mut current_clique: Option<usize> = None;
-    for &p in graph.bottom_up_order() {
-        match graph.clique_id_of(p) {
-            Some(cid) => {
-                if current_clique == Some(cid) {
-                    groups.last_mut().expect("group exists").push(p);
-                } else {
-                    groups.push(vec![p]);
-                    current_clique = Some(cid);
-                }
-            }
-            None => {
-                groups.push(vec![p]);
-                current_clique = None;
-            }
-        }
-    }
-    groups
-}
-
 /// Evaluates every derived predicate of `program` naively.
 pub fn eval_program_naive(
     program: &Program,
     db: &Database,
     cfg: &FixpointConfig,
 ) -> Result<(HashMap<Pred, Relation>, Metrics)> {
-    let graph = DependencyGraph::build(program);
-    graph.check_stratified()?;
-    // Facts may exist for derived predicates too (e.g. `reach(1).` next to
-    // recursive reach rules); seed the derived relations with them so the
-    // database copy is not shadowed.
-    let mut derived: HashMap<Pred, Relation> = program
-        .derived_preds()
-        .into_iter()
-        .map(|p| {
-            let rel = db
-                .relation(p)
-                .cloned()
-                .unwrap_or_else(|| Relation::new(p.arity));
-            (p, rel)
-        })
-        .collect();
-    let mut metrics = Metrics::default();
-    // One chain-cover solve per evaluation; every round borrows it.
-    let catalog = cfg.catalog(program);
-
-    for group in evaluation_groups(&graph) {
-        let recursive = group.iter().any(|&p| graph.is_recursive(p));
-        let rules: Vec<usize> = program
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| group.contains(&r.head.pred))
-            .map(|(i, _)| i)
-            .collect();
-        if recursive {
-            if let Some(&ri) = rules
-                .iter()
-                .find(|&&ri| crate::grouping::has_grouping(&program.rules[ri]))
-            {
-                return Err(LdlError::Eval(format!(
-                    "grouping head {} inside a recursive clique is not stratifiable",
-                    program.rules[ri].head
-                )));
-            }
-        }
-        let firings: Vec<Firing> = rules
-            .iter()
-            .map(|&ri| Firing {
-                rule_index: ri,
-                overlay: None,
-            })
-            .collect();
-        let mut iters = 0usize;
-        loop {
-            iters += 1;
-            if iters > cfg.max_iterations {
-                return Err(LdlError::Eval(format!(
-                    "naive fixpoint for {:?} exceeded {} iterations (divergent / unsafe)",
-                    group.iter().map(|p| p.to_string()).collect::<Vec<_>>(),
-                    cfg.max_iterations
-                )));
-            }
-            metrics.iterations += 1;
-            // Relations are frozen for the round: every firing reads the
-            // same state, so the firings run on worker threads and merge
-            // in rule order — exactly the serial insertion order.
-            let (new_tuples, round_metrics) = {
-                let base = |p: Pred| derived.get(&p).or_else(|| db.relation(p));
-                run_round(program, &firings, &base, cfg.threads, cfg.plan(&catalog))?
-            };
-            metrics.absorb(round_metrics);
-            let mut changed = false;
-            for (p, t) in new_tuples {
-                let rel = derived.get_mut(&p).expect("derived relation exists");
-                if rel.insert(t) {
-                    changed = true;
-                    metrics.tuples_derived += 1;
-                }
-            }
-            if !changed || !recursive {
-                break;
-            }
-        }
-    }
-    Ok((derived, metrics))
+    eval_program(program, db, cfg, Mode::Naive)
 }
 
 #[cfg(test)]

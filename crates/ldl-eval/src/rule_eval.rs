@@ -45,43 +45,31 @@ pub trait RelSource {
     fn relation(&self, lit_index: usize, pred: Pred) -> Option<&Relation>;
 }
 
-/// A [`RelSource`] built from three lookups: a general per-predicate
-/// map, an override for one specific literal position (the delta slot),
-/// and a second positional override used by the parallel evaluator to
-/// restrict one occurrence to a *chunk* of its relation's rows.
-///
-/// `restrict` wins over `overlay` at its position; the two are only
-/// ever aimed at different positions (when the partitioned occurrence
-/// *is* the delta occurrence, the chunk is cut from the delta and
-/// installed as the `overlay` itself).
-pub struct OverlaySource<'a, F>
+/// The one [`RelSource`]: a per-predicate lookup plus positional
+/// overrides, each saying "the atom at this body position reads that
+/// relation". A semi-naive delta, the old state a maintenance firing
+/// differences against, and the row chunk the round executor cuts for a
+/// worker are all overrides. The first entry naming a position wins, so
+/// whoever layers a chunk over a delta lists the chunk first.
+pub struct OverlaySource<'s, 'a, F>
 where
     F: Fn(Pred) -> Option<&'a Relation>,
 {
     /// General lookup.
     pub base: F,
-    /// `(literal index, relation)` override, if any.
-    pub overlay: Option<(usize, &'a Relation)>,
-    /// `(literal index, row-chunk relation)` override, if any.
-    pub restrict: Option<(usize, &'a Relation)>,
+    /// `(literal index, relation)` overrides, earliest match first.
+    pub overrides: &'s [(usize, &'a Relation)],
 }
 
-impl<'a, F> RelSource for OverlaySource<'a, F>
+impl<'s, 'a, F> RelSource for OverlaySource<'s, 'a, F>
 where
     F: Fn(Pred) -> Option<&'a Relation>,
 {
     fn relation(&self, lit_index: usize, pred: Pred) -> Option<&Relation> {
-        if let Some((i, rel)) = self.restrict {
-            if i == lit_index {
-                return Some(rel);
-            }
+        match self.overrides.iter().find(|(i, _)| *i == lit_index) {
+            Some((_, rel)) => Some(rel),
+            None => (self.base)(pred),
         }
-        if let Some((i, rel)) = self.overlay {
-            if i == lit_index {
-                return Some(rel);
-            }
-        }
-        (self.base)(pred)
     }
 }
 
@@ -94,19 +82,8 @@ pub struct FiringStats {
 
 /// Evaluates `rule` with body literal order `order` (a permutation of
 /// `0..body.len()`), starting from `seed` (bindings implied by the
-/// pipeline, e.g. magic constants). Emits one ground head tuple per
-/// solution via `emit`.
-pub fn eval_rule(
-    rule: &Rule,
-    order: &[usize],
-    seed: &Subst,
-    source: &dyn RelSource,
-    emit: &mut dyn FnMut(Tuple),
-) -> Result<FiringStats> {
-    eval_rule_with(rule, order, seed, source, AccessPlan::HashOnDemand, emit)
-}
-
-/// [`eval_rule`] with an explicit access plan for its probe sites.
+/// pipeline, e.g. magic constants), probing through `plan`. Emits one
+/// ground head tuple per solution via `emit`.
 pub fn eval_rule_with(
     rule: &Rule,
     order: &[usize],
@@ -520,11 +497,18 @@ mod tests {
         let rule = &src.rules[rule_idx];
         let source = OverlaySource {
             base: |p: Pred| derived.get(&p).or_else(|| db.relation(p)),
-            overlay: None,
-            restrict: None,
+            overrides: &[],
         };
         let mut out = Vec::new();
-        eval_rule(rule, &order, &Subst::new(), &source, &mut |t| out.push(t)).unwrap();
+        eval_rule_with(
+            rule,
+            &order,
+            &Subst::new(),
+            &source,
+            AccessPlan::HashOnDemand,
+            &mut |t| out.push(t),
+        )
+        .unwrap();
         out
     }
 
@@ -587,13 +571,17 @@ mod tests {
         let db = Database::from_program(&src);
         let source = OverlaySource {
             base: |p: Pred| db.relation(p),
-            overlay: None,
-            restrict: None,
+            overrides: &[],
         };
         let mut out = Vec::new();
-        let r = eval_rule(&src.rules[0], &[1, 0], &Subst::new(), &source, &mut |t| {
-            out.push(t)
-        });
+        let r = eval_rule_with(
+            &src.rules[0],
+            &[1, 0],
+            &Subst::new(),
+            &source,
+            AccessPlan::HashOnDemand,
+            &mut |t| out.push(t),
+        );
         assert!(r.is_err());
     }
 
@@ -642,15 +630,41 @@ mod tests {
         let delta = Relation::from_tuples(2, [Tuple::ints(&[2, 9])]);
         let source = OverlaySource {
             base: |p: Pred| db.relation(p),
-            overlay: Some((1, &delta)),
-            restrict: None,
+            overrides: &[(1, &delta)],
         };
         let mut out = Vec::new();
-        eval_rule(&src.rules[0], &[0, 1], &Subst::new(), &source, &mut |t| {
-            out.push(t)
-        })
+        eval_rule_with(
+            &src.rules[0],
+            &[0, 1],
+            &Subst::new(),
+            &source,
+            AccessPlan::HashOnDemand,
+            &mut |t| out.push(t),
+        )
         .unwrap();
         assert_eq!(out, vec![Tuple::ints(&[1, 9])]);
+    }
+
+    /// Overrides are per position and the first listed wins: a chunk
+    /// listed ahead of a delta (or old state) at the same position
+    /// shadows it, an override at another position is untouched, and a
+    /// position nobody names falls through to the base lookup.
+    #[test]
+    fn override_precedence_is_chunk_over_delta_over_base() {
+        let src = parse_program("e(1, 2).\np(X, Z) <- e(X, Y), e(Y, Z), e(Z, X).").unwrap();
+        let db = Database::from_program(&src);
+        let e = Pred::new("e", 2);
+        let chunk = Relation::from_tuples(2, [Tuple::ints(&[7, 7])]);
+        let delta = Relation::from_tuples(2, [Tuple::ints(&[8, 8])]);
+        let old = Relation::from_tuples(2, [Tuple::ints(&[9, 9])]);
+        let source = OverlaySource {
+            base: |p: Pred| db.relation(p),
+            overrides: &[(0, &chunk), (0, &delta), (1, &old)],
+        };
+        assert_eq!(source.relation(0, e), Some(&chunk));
+        assert_eq!(source.relation(1, e), Some(&old));
+        assert_eq!(source.relation(2, e), db.relation(e));
+        assert_eq!(source.relation(2, Pred::new("missing", 1)), None);
     }
 
     #[test]
@@ -665,13 +679,20 @@ mod tests {
         let db = Database::from_program(&src);
         let source = OverlaySource {
             base: |p: Pred| db.relation(p),
-            overlay: None,
-            restrict: None,
+            overrides: &[],
         };
         let mut seed = Subst::new();
         seed.bind(ldl_core::Symbol::intern("X"), Term::int(2));
         let mut out = Vec::new();
-        eval_rule(&src.rules[0], &[0], &seed, &source, &mut |t| out.push(t)).unwrap();
+        eval_rule_with(
+            &src.rules[0],
+            &[0],
+            &seed,
+            &source,
+            AccessPlan::HashOnDemand,
+            &mut |t| out.push(t),
+        )
+        .unwrap();
         assert_eq!(out, vec![Tuple::ints(&[2, 3])]);
     }
 
@@ -696,8 +717,7 @@ mod tests {
         };
         let source = OverlaySource {
             base: |p: Pred| db.relation(p),
-            overlay: None,
-            restrict: None,
+            overrides: &[],
         };
         let mut out = Vec::new();
         eval_rule_with(

@@ -7,11 +7,10 @@
 //! uses at least one new tuple, so work per round is proportional to
 //! growth instead of to the whole relation.
 
+use crate::driver::{eval_program, Mode};
 use crate::metrics::Metrics;
-use crate::naive::{evaluation_groups, FixpointConfig};
-use crate::parallel::{run_round, Firing};
-use ldl_core::depgraph::DependencyGraph;
-use ldl_core::{LdlError, Pred, Program, Result};
+use crate::naive::FixpointConfig;
+use ldl_core::{Pred, Program, Result};
 use ldl_storage::{Database, Relation};
 use std::collections::HashMap;
 
@@ -21,150 +20,7 @@ pub fn eval_program_seminaive(
     db: &Database,
     cfg: &FixpointConfig,
 ) -> Result<(HashMap<Pred, Relation>, Metrics)> {
-    let graph = DependencyGraph::build(program);
-    graph.check_stratified()?;
-    // Seed derived relations with any facts asserted for them (see the
-    // matching comment in `naive`); those facts also enter the first delta.
-    let mut derived: HashMap<Pred, Relation> = program
-        .derived_preds()
-        .into_iter()
-        .map(|p| {
-            let rel = db
-                .relation(p)
-                .cloned()
-                .unwrap_or_else(|| Relation::new(p.arity));
-            (p, rel)
-        })
-        .collect();
-    let mut metrics = Metrics::default();
-    // One chain-cover solve per evaluation; every round borrows it.
-    let catalog = cfg.catalog(program);
-
-    for group in evaluation_groups(&graph) {
-        let in_group = |p: Pred| group.contains(&p);
-        let recursive = group.iter().any(|&p| graph.is_recursive(p));
-        let group_rules: Vec<usize> = program
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| in_group(r.head.pred))
-            .map(|(i, _)| i)
-            .collect();
-
-        if !recursive {
-            // Single pass; bodies only reference completed strata, so
-            // the group's rules are independent and run as one round.
-            let (out, round_metrics) = {
-                let firings: Vec<Firing> = group_rules
-                    .iter()
-                    .map(|&ri| Firing {
-                        rule_index: ri,
-                        overlay: None,
-                    })
-                    .collect();
-                let base = |p: Pred| derived.get(&p).or_else(|| db.relation(p));
-                run_round(program, &firings, &base, cfg.threads, cfg.plan(&catalog))?
-            };
-            metrics.absorb(round_metrics);
-            for (p, t) in out {
-                if derived.get_mut(&p).expect("relation").insert(t) {
-                    metrics.tuples_derived += 1;
-                }
-            }
-            metrics.iterations += 1;
-            continue;
-        }
-
-        // Split into exit rules (no clique atom in body) and recursive ones.
-        for &ri in &group_rules {
-            if crate::grouping::has_grouping(&program.rules[ri]) {
-                return Err(LdlError::Eval(format!(
-                    "grouping head {} inside a recursive clique is not stratifiable",
-                    program.rules[ri].head
-                )));
-            }
-        }
-        let (exit, rec): (Vec<usize>, Vec<usize>) = group_rules
-            .iter()
-            .partition(|&&ri| !program.rules[ri].body_atoms().any(|a| in_group(a.pred)));
-
-        // Round 0: asserted facts for the clique's predicates plus the
-        // exit rules, both evaluated against completed strata.
-        let mut delta: HashMap<Pred, Relation> =
-            group.iter().map(|&p| (p, derived[&p].clone())).collect();
-        let (out, round_metrics) = {
-            let firings: Vec<Firing> = exit
-                .iter()
-                .map(|&ri| Firing {
-                    rule_index: ri,
-                    overlay: None,
-                })
-                .collect();
-            let base = |p: Pred| derived.get(&p).or_else(|| db.relation(p));
-            run_round(program, &firings, &base, cfg.threads, cfg.plan(&catalog))?
-        };
-        metrics.absorb(round_metrics);
-        for (p, t) in out {
-            if derived.get_mut(&p).expect("relation").insert(t.clone()) {
-                metrics.tuples_derived += 1;
-                delta.get_mut(&p).expect("delta relation").insert(t);
-            }
-        }
-        metrics.iterations += 1;
-
-        // Differential rounds.
-        let mut iters = 0usize;
-        while delta.values().any(|r| !r.is_empty()) {
-            iters += 1;
-            if iters > cfg.max_iterations {
-                return Err(LdlError::Eval(format!(
-                    "semi-naive fixpoint for {:?} exceeded {} iterations (divergent / unsafe)",
-                    group.iter().map(|p| p.to_string()).collect::<Vec<_>>(),
-                    cfg.max_iterations
-                )));
-            }
-            metrics.iterations += 1;
-            // One firing per clique-predicate occurrence of each
-            // recursive rule, that occurrence reading the delta. The
-            // firings are independent (they read the frozen `derived` +
-            // `delta` state), so the round fans out over workers and
-            // merges in (rule, occurrence) order — the serial order.
-            let (produced, round_metrics) = {
-                let mut firings: Vec<Firing> = Vec::new();
-                for &ri in &rec {
-                    let rule = &program.rules[ri];
-                    for (j, l) in rule.body.iter().enumerate() {
-                        let delta_occ = l
-                            .as_atom()
-                            .filter(|a| !a.negated && in_group(a.pred))
-                            .map(|a| &delta[&a.pred]);
-                        match delta_occ {
-                            Some(drel) if !drel.is_empty() => {
-                                firings.push(Firing {
-                                    rule_index: ri,
-                                    overlay: Some((j, drel)),
-                                });
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                let base = |p: Pred| derived.get(&p).or_else(|| db.relation(p));
-                run_round(program, &firings, &base, cfg.threads, cfg.plan(&catalog))?
-            };
-            metrics.absorb(round_metrics);
-            let mut next_delta: HashMap<Pred, Relation> =
-                group.iter().map(|&p| (p, Relation::new(p.arity))).collect();
-            for (p, t) in produced {
-                if derived.get_mut(&p).expect("relation").insert(t.clone()) {
-                    metrics.tuples_derived += 1;
-                    next_delta.get_mut(&p).expect("delta").insert(t);
-                }
-            }
-            delta = next_delta;
-        }
-    }
-    Ok((derived, metrics))
+    eval_program(program, db, cfg, Mode::SemiNaive)
 }
 
 #[cfg(test)]

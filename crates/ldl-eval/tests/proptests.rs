@@ -11,7 +11,7 @@ use ldl_core::unify::Subst;
 use ldl_core::Pred;
 use ldl_eval::materialized::eval_rule_materialized;
 use ldl_eval::ops::JoinMethod;
-use ldl_eval::rule_eval::{eval_rule, OverlaySource};
+use ldl_eval::rule_eval::{eval_rule_with, AccessPlan, OverlaySource};
 use ldl_eval::sld::{solve_sld, SldConfig};
 use ldl_eval::{evaluate_query, FixpointConfig, Method};
 use ldl_storage::{Database, Relation, Tuple};
@@ -65,12 +65,12 @@ fn executors_agree() {
             let method = JoinMethod::ALL[*method_pick];
             let source = OverlaySource {
                 base: |p: Pred| db.relation(p),
-                overlay: None,
-                restrict: None,
+                overrides: &[],
             };
-            let mat = eval_rule_materialized(rule, &order, method, &source).unwrap();
+            let mat = eval_rule_materialized(rule, &order, method, &source, false).unwrap();
             let mut pipe = Relation::new(2);
-            eval_rule(rule, &order, &Subst::new(), &source, &mut |t| {
+            let plan = AccessPlan::HashOnDemand;
+            eval_rule_with(rule, &order, &Subst::new(), &source, plan, &mut |t| {
                 pipe.insert(t);
             })
             .unwrap();

@@ -248,7 +248,9 @@ impl OptimizedQuery {
         let sip = self.sip();
         let attempt = evaluate_query_sip(program, db, &self.query, self.method, cfg, &sip);
         match attempt {
-            Err(LdlError::Eval(_) | LdlError::Validation(_)) if self.method == Method::Counting => {
+            Err(LdlError::Diverged(_) | LdlError::Validation(_))
+                if self.method == Method::Counting =>
+            {
                 // Divergence (cyclic data) or inapplicability: magic is
                 // the binding-propagating fallback.
                 match evaluate_query_sip(program, db, &self.query, Method::Magic, cfg, &sip) {
@@ -1961,6 +1963,42 @@ mod tests {
         let cfg = FixpointConfig::with_max_iterations(100);
         let ans = plan.execute(&program, &db, &cfg).unwrap();
         assert_eq!(ans.tuples.len(), 3); // 1->1, 1->2, 1->3
+    }
+
+    #[test]
+    fn counting_plan_reports_a_type_error_without_retrying() {
+        // `tom > 0` is a type error, not divergence: the counting plan
+        // must surface it as is. The magic fallback would hit the same
+        // comparison and fail the same way, so the tell is the work
+        // done — exactly one counting evaluation's worth of rows.
+        let text = r#"
+            e(1, 2). e(2, tom).
+            tc(X, Y) <- e(X, Y).
+            tc(X, Y) <- e(X, Z), Z > 0, tc(Z, Y).
+        "#;
+        let program = parse_program(text).unwrap();
+        let db = Database::from_program(&program);
+        let opt = Optimizer::new(
+            &program,
+            &db,
+            OptConfig {
+                assume_acyclic: true,
+                ..OptConfig::default()
+            },
+        );
+        let query = parse_query("tc(1, Y)?").unwrap();
+        let plan = opt.optimize(&query).unwrap();
+        assert_eq!(plan.method, Method::Counting);
+        let cfg = FixpointConfig::serial();
+        let (executed, work) =
+            ldl_storage::IndexCounters::scoped(|| plan.execute(&program, &db, &cfg));
+        let (direct, one_run) = ldl_storage::IndexCounters::scoped(|| {
+            evaluate_query_sip(&program, &db, &query, Method::Counting, &cfg, &plan.sip())
+        });
+        assert!(matches!(executed, Err(LdlError::Eval(_))), "{executed:?}");
+        assert_eq!(executed.unwrap_err(), direct.unwrap_err());
+        assert!(one_run.rows_enumerated > 0);
+        assert_eq!(work.rows_enumerated, one_run.rows_enumerated);
     }
 
     #[test]

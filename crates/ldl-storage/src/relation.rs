@@ -551,10 +551,7 @@ impl Relation {
 
     /// Inserts every tuple, returning how many were new.
     pub fn extend(&mut self, tuples: impl IntoIterator<Item = Tuple>) -> usize {
-        tuples
-            .into_iter()
-            .filter(|t| self.insert(t.clone()))
-            .count()
+        tuples.into_iter().map(|t| self.insert(t) as usize).sum()
     }
 
     /// Membership test.

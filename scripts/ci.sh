@@ -295,4 +295,9 @@ echo "    memo digest matches brute force at n=6; pruning holds at n >= 10"
 echo "==> cargo clippy --workspace --all-targets"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Informational: the simplicity numbers (code lines per crate cut at the
+# first #[cfg(test)], public config fields). Nothing gates on them.
+echo "==> scripts/loc.sh (informational)"
+scripts/loc.sh
+
 echo "CI battery passed."
