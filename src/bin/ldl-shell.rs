@@ -425,7 +425,7 @@ commands:
         }
         out.push_str("processing tree:\n");
         out.push_str(&ProcessingTree::from_plan(self.session.program(), plan).to_string());
-        out.push_str(&format!("(optimized in {:.2} ms)", ms(planned.elapsed)));
+        out.push_str(&plan_time(planned, "optimized"));
         out
     }
 
@@ -491,8 +491,20 @@ commands:
             plan.stats.memo_hits,
             plan.stats.orders_probed
         ));
-        out.push_str(&format!("(co-optimized in {:.2} ms)", ms(planned.elapsed)));
+        out.push_str(&plan_time(planned, "co-optimized"));
         out
+    }
+}
+
+/// The closing line of `:explain` / `:plan`: a compile's search time,
+/// or on a cache hit the lookup time (the counters above are then the
+/// original compile's).
+fn plan_time(planned: &Planned, compiled: &str) -> String {
+    let t = ms(planned.elapsed);
+    if planned.cached {
+        format!("(cached plan, lookup {t:.2} ms)")
+    } else {
+        format!("({compiled} in {t:.2} ms)")
     }
 }
 
@@ -817,6 +829,18 @@ mod tests {
         assert!(out.contains("method:"), "{out}");
         assert!(out.contains("method costs:"), "{out}");
         assert!(out.contains("CC {tc/2}"), "{out}");
+        assert!(
+            out.ends_with(" ms)") && out.contains("(optimized in "),
+            "{out}"
+        );
+        // The form is compiled now: both views say the plan is reused.
+        let out = s.handle(":explain tc(2, Y)?");
+        assert!(out.contains("(cached plan, lookup "), "{out}");
+        let out = s.handle(":plan tc(3, Y)?");
+        assert!(out.contains("enumerator:"), "{out}");
+        assert!(out.contains("(cached plan, lookup "), "{out}");
+        let out = s.handle(":plan tc(X, 3)?");
+        assert!(out.contains("(co-optimized in "), "{out}");
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! over this type; library users drive it directly.
 //!
 //! **Query pipeline.** [`Session::query`] is the only goal path:
-//! analyzer gate (once) → compiled plan for the goal's *query form*
-//! (predicate + binding pattern, §2 of the paper) → execution with the
-//! co-optimized index set. Each form is compiled once by `co_optimize`
-//! and cached — re-asking `anc(X, lisa)?` with a different constant
-//! reuses the `anc.fb` plan, while `anc(abe, Y)?` compiles `anc.bf`.
+//! compiled plan for the goal's *query form* (predicate + binding
+//! pattern, §2 of the paper) → execution with the co-optimized index
+//! set. A form is compiled once, after the analyzer gate, by
+//! `co_optimize` and cached — re-asking `anc(X, lisa)?` with a
+//! different constant reuses the `anc.fb` plan without gate or search,
+//! while `anc(abe, Y)?` compiles `anc.bf`. The gate's verdict depends
+//! on the form alone, so a cached form has passed it; a rejected form
+//! is never cached and meets the gate on every call.
 //!
 //! **Commit pipeline.** [`Session::stage_insert`] /
 //! [`Session::stage_retract`] build a batch; [`Session::commit`] applies
@@ -15,10 +18,14 @@
 //! the first commit. From then on the engine's database *is* the EDB —
 //! the session keeps no second copy.
 //!
-//! Whatever can change a plan empties the cache: [`Session::load`]
-//! (rule indexes), a successful commit (statistics),
-//! [`Session::configure`] (search strategy, method set, rewrite pass)
-//! and [`Session::reset`].
+//! [`Session::load`] (rule indexes), [`Session::configure`] (search
+//! strategy, method set, rewrite pass) and [`Session::reset`] empty the
+//! cache. A commit empties it only when the statistics the plans were
+//! priced on have really moved: a base relation appeared or
+//! disappeared, or its row count moved by a factor of
+//! [`DRIFT_FACTOR`] since the cache was last emptied. A plan priced
+//! on older counts may be slower, never wrong: method, orders and
+//! index set change the cost of an answer, not the answer.
 
 use ldl_analysis::{analyze_query, AnalysisOptions, Report};
 use ldl_core::parser::{parse_query, parse_source};
@@ -33,6 +40,32 @@ use std::time::{Duration, Instant};
 
 /// A compiled-plan cache key: the query form.
 type FormKey = (Pred, ldl_core::Adornment);
+
+/// Row count per base relation, in predicate order.
+type Sizes = Vec<(Pred, usize)>;
+
+/// How far a base relation's row count may move before a commit drops
+/// the cached plans: two counts have drifted when the larger is at
+/// least this many times the smaller (empty vs non-empty always has).
+/// A drift test against the counts at the last emptying, not a fixed
+/// bucket per count, so a relation toggling by one row across a bucket
+/// edge keeps its plans.
+pub const DRIFT_FACTOR: usize = 2;
+
+fn base_sizes(db: &Database) -> Sizes {
+    db.preds()
+        .into_iter()
+        .map(|p| (p, db.relation(p).map_or(0, Relation::len)))
+        .collect()
+}
+
+/// Whether plans priced on `old` counts should go under `new` ones.
+fn drifted(old: &Sizes, new: &Sizes) -> bool {
+    old.len() != new.len()
+        || old.iter().zip(new).any(|(&(p, a), &(q, b))| {
+            p != q || (a != b && a.max(b) >= DRIFT_FACTOR.saturating_mul(a.min(b)))
+        })
+}
 
 /// What [`Session::load`] added, plus the goals the text carried (not
 /// run — the caller decides what to do with them).
@@ -54,6 +87,10 @@ pub struct Planned {
     /// Time spent obtaining it: a `co_optimize` run on a cache miss,
     /// a lookup on a hit.
     pub elapsed: Duration,
+    /// Whether the plan came from the cache. `co.stats` and the
+    /// enumerator counters in `co.plan.stats` are then the original
+    /// compile's.
+    pub cached: bool,
 }
 
 /// The outcome of [`Session::query`].
@@ -102,6 +139,8 @@ pub struct Session {
     /// next one.
     engine: Option<Engine>,
     plans: HashMap<FormKey, CoOptimized>,
+    /// Base-relation row counts when `plans` was last emptied.
+    sizes: Sizes,
     compilations: usize,
 }
 
@@ -131,7 +170,7 @@ impl Session {
             self.db = engine.into_database();
         }
         self.db.load_facts(&src.program);
-        self.plans.clear();
+        self.clear_plans();
         let loaded = Loaded {
             rules: src.program.rules.len(),
             facts: src.program.facts.len(),
@@ -167,7 +206,8 @@ impl Session {
     ///
     /// Failure is atomic: the batch stays staged, and EDB, maintained
     /// state and plan cache are as before (`Engine::apply_delta` rolls
-    /// itself back).
+    /// itself back). Success keeps the cached plans unless a base
+    /// relation appeared, disappeared or drifted by [`DRIFT_FACTOR`].
     pub fn commit(&mut self) -> Result<MaintenanceReport> {
         if self.engine.is_none() {
             self.engine = Some(Engine::evaluate(&self.program, &self.db, &self.fixpoint)?);
@@ -176,7 +216,9 @@ impl Session {
         let engine = self.engine.as_mut().expect("engine just built");
         let report = engine.apply_delta(&self.pending)?;
         self.pending = EdbDelta::new();
-        self.plans.clear();
+        if drifted(&self.sizes, &base_sizes(self.database())) {
+            self.clear_plans();
+        }
         Ok(report)
     }
 
@@ -186,13 +228,20 @@ impl Session {
         self.db = Database::new();
         self.pending = EdbDelta::new();
         self.engine = None;
-        self.plans.clear();
+        self.clear_plans();
     }
 
     /// Edits the optimizer and fixpoint configuration.
     pub fn configure(&mut self, edit: impl FnOnce(&mut OptConfig, &mut FixpointConfig)) {
         edit(&mut self.cfg, &mut self.fixpoint);
+        self.clear_plans();
+    }
+
+    /// Empties the plan cache and retakes the size snapshot commits
+    /// measure drift against.
+    fn clear_plans(&mut self) {
         self.plans.clear();
+        self.sizes = base_sizes(self.database());
     }
 
     /// The optimizer configuration.
@@ -215,35 +264,25 @@ impl Session {
         self.compilations
     }
 
-    /// The compiled plan for `query`, without executing it: analyzer
-    /// gate, then the cached plan for the form or a fresh `co_optimize`.
+    /// The compiled plan for `query`, without executing it: the cached
+    /// plan for the form, or the analyzer gate and a fresh
+    /// `co_optimize`.
     pub fn explain(&mut self, query: &Query) -> std::result::Result<Planned, QueryError> {
-        // Under `Deny` the session runs the gate itself so a rejection
-        // carries the full report; `query` then tells the executor not
-        // to repeat it. `Warn`/`Off` are left to the executor.
-        if self.fixpoint.analysis == AnalysisPolicy::Deny {
-            // Lints and the semantic pass stay out: only executability
-            // matters here.
-            let opts = AnalysisOptions {
-                assume_acyclic: self.cfg.assume_acyclic,
-                lints: false,
-                semantic: false,
-            };
-            let report = analyze_query(&self.program, query, &opts);
-            if report.has_errors() {
-                return Err(QueryError::Rejected(report));
-            }
-        }
         let started = Instant::now();
         let key = (query.pred(), query.adornment());
-        let mut co = match self.plans.get(&key) {
-            Some(co) => co.clone(),
+        let (mut co, cached, started) = match self.plans.get(&key) {
+            // Only a form that passed the gate under this program and
+            // configuration is cached, and the verdict reads nothing
+            // but predicate, adornment and `assume_acyclic`.
+            Some(co) => (co.clone(), true, started),
             None => {
+                self.gate(query)?;
+                let started = Instant::now();
                 let co = co_optimize(&self.program, self.database(), &self.cfg, query, None)
                     .map_err(QueryError::Plan)?;
                 self.compilations += 1;
                 self.plans.insert(key, co.clone());
-                co
+                (co, false, started)
             }
         };
         // Orders, method and index set depend only on the form (§2):
@@ -252,10 +291,34 @@ impl Session {
         Ok(Planned {
             co,
             elapsed: started.elapsed(),
+            cached,
         })
     }
 
-    /// Answers `query`: gate → plan (cached per form) → execute.
+    /// The analyzer gate for a form about to be compiled.
+    fn gate(&self, query: &Query) -> std::result::Result<(), QueryError> {
+        // Under `Deny` the session runs the gate itself so a rejection
+        // carries the full report; `query` then tells the executor not
+        // to repeat it. `Warn`/`Off` are left to the executor.
+        if self.fixpoint.analysis != AnalysisPolicy::Deny {
+            return Ok(());
+        }
+        // Lints and the semantic pass stay out: only executability
+        // matters here.
+        let opts = AnalysisOptions {
+            assume_acyclic: self.cfg.assume_acyclic,
+            lints: false,
+            semantic: false,
+        };
+        let report = analyze_query(&self.program, query, &opts);
+        if report.has_errors() {
+            return Err(QueryError::Rejected(report));
+        }
+        Ok(())
+    }
+
+    /// Answers `query`: plan (cached per form, gated when compiled) →
+    /// execute.
     pub fn query(&mut self, query: &Query) -> std::result::Result<Answered, QueryError> {
         let planned = self.explain(query)?;
         let mut cfg = self.fixpoint.clone();
@@ -284,7 +347,9 @@ impl Session {
 mod tests {
     use super::*;
     use ldl_core::Term;
+    use ldl_eval::engine::Method;
     use ldl_optimizer::{ProcessingTree, Strategy};
+    use ldl_support::rng::SplitMix64;
 
     const TC: &str = "e(1, 2).\ntc(X, Y) <- e(X, Y).\ntc(X, Y) <- e(X, Z), tc(Z, Y).";
 
@@ -351,35 +416,203 @@ mod tests {
 
     #[test]
     fn commit_and_config_changes_invalidate_cache_abort_does_not() {
+        // e is a 10-edge chain 1 → 11, so tc(1, Y)? has 10 answers.
+        let chain: String = (1..=10).map(|i| format!("e({i}, {}).\n", i + 1)).collect();
+        let tc_rules = "tc(X, Y) <- e(X, Y).\ntc(X, Y) <- e(X, Z), tc(Z, Y).";
         let mut s = Session::new();
-        s.load(TC).unwrap();
+        s.load(&format!("{chain}{tc_rules}")).unwrap();
+        type Step = fn(&mut Session);
+        // (what, step, recompiles, answers to tc(1, Y)? afterwards)
+        let table: [(&str, Step, bool, usize); 15] = [
+            ("first use", |_| {}, true, 10),
+            ("repeat", |_| {}, false, 10),
+            (
+                "staging",
+                |s| s.stage_insert(e(11, 12).0, e(11, 12).1),
+                false,
+                10,
+            ),
+            ("abort", |s| assert_eq!(s.abort(), 1), false, 10),
+            ("empty commit", |s| drop(s.commit().unwrap()), false, 10),
+            (
+                "one-row commit (10 → 11 rows)",
+                |s| {
+                    let (p, t) = e(11, 12);
+                    s.stage_insert(p, t);
+                    s.commit().unwrap();
+                },
+                false,
+                11,
+            ),
+            (
+                "refused commit",
+                |s| {
+                    let (p, t) = e(12, 13);
+                    s.stage_insert(p, t);
+                    s.stage_insert(Pred::new("tc", 2), Tuple::ints(&[9, 9]));
+                    assert!(s.commit().is_err());
+                    assert_eq!(s.abort(), 2);
+                },
+                false,
+                11,
+            ),
+            (
+                "doubling commit (11 → 22 rows)",
+                |s| {
+                    for i in 100..111 {
+                        let (p, t) = e(i, i + 1);
+                        s.stage_insert(p, t);
+                    }
+                    s.commit().unwrap();
+                },
+                true,
+                11,
+            ),
+            (
+                "new base predicate",
+                |s| {
+                    s.stage_insert(Pred::new("n", 1), Tuple::ints(&[1]));
+                    s.commit().unwrap();
+                },
+                true,
+                11,
+            ),
+            // The three settings the shell exposes that reach the plan.
+            (
+                ":strategy",
+                |s| s.configure(|c, _| c.strategy = Strategy::Kbz),
+                true,
+                11,
+            ),
+            (
+                ":acyclic",
+                |s| s.configure(|c, _| c.assume_acyclic = true),
+                true,
+                11,
+            ),
+            (
+                ":rewrite",
+                |s| s.configure(|_, f| f.rewrite = true),
+                true,
+                11,
+            ),
+            ("repeat after :rewrite", |_| {}, false, 11),
+            ("load", |s| drop(s.load("e(0, 1).").unwrap()), true, 11),
+            (
+                "reset",
+                |s| {
+                    s.reset();
+                    s.load(TC).unwrap();
+                },
+                true,
+                1,
+            ),
+        ];
         let mut compiled = 0;
-        let mut expect_recompile = |s: &mut Session, recompiled: bool, what: &str| {
-            s.answers("tc(1, Y)?").unwrap();
-            compiled += usize::from(recompiled);
+        for (what, step, recompiles, answers) in table {
+            step(&mut s);
+            assert_eq!(
+                s.answers("tc(1, Y)?").unwrap().len(),
+                answers,
+                "after {what}"
+            );
+            compiled += usize::from(recompiles);
             assert_eq!(s.compilations(), compiled, "after {what}");
-        };
-        expect_recompile(&mut s, true, "first use");
-        expect_recompile(&mut s, false, "repeat");
-        let (p, t) = e(2, 3);
-        s.stage_insert(p, t);
-        expect_recompile(&mut s, false, "staging");
-        assert_eq!(s.abort(), 1);
-        expect_recompile(&mut s, false, "abort");
-        let (p, t) = e(2, 3);
-        s.stage_insert(p, t);
-        s.commit().unwrap();
-        expect_recompile(&mut s, true, "commit");
-        // The three settings the shell exposes that reach the plan.
-        s.configure(|c, _| c.strategy = Strategy::Kbz);
-        expect_recompile(&mut s, true, ":strategy");
-        s.configure(|c, _| c.assume_acyclic = true);
-        expect_recompile(&mut s, true, ":acyclic");
-        s.configure(|_, f| f.rewrite = true);
-        expect_recompile(&mut s, true, ":rewrite");
-        s.reset();
-        s.load(TC).unwrap();
-        expect_recompile(&mut s, true, "reset");
+        }
+    }
+
+    #[test]
+    fn drift_is_a_factor_of_two_either_way() {
+        let p = Pred::new("e", 2);
+        let q = Pred::new("n", 1);
+        let moved = |a: usize, b: usize| drifted(&vec![(p, a)], &vec![(p, b)]);
+        assert!(!moved(10, 11) && !moved(11, 10) && !moved(10, 19) && !moved(0, 0));
+        assert!(moved(10, 20) && moved(20, 10) && moved(1, 2) && moved(0, 1) && moved(1, 0));
+        assert!(drifted(&vec![(p, 3)], &vec![(p, 3), (q, 3)]), "appeared");
+        assert!(drifted(&vec![(p, 3), (q, 3)], &vec![(p, 3)]), "disappeared");
+        assert!(drifted(&vec![(p, 3)], &vec![(q, 3)]), "replaced");
+    }
+
+    #[test]
+    fn stale_plans_answer_like_a_cold_session() {
+        // Plans compiled on a 3-edge chain, then up to 30 one-edge commits
+        // that keep e within 2..=5 rows (inside the drift factor) and
+        // close cycles along the way: the warm session never
+        // recompiles, yet answers like a cold session and the engine.
+        // Under `assume_acyclic` a counting plan priced on the chain
+        // meets cycles and must fall back (`Diverged`).
+        const RULES: &str = "tc(X, Y) <- e(X, Y).\ntc(X, Y) <- e(X, Z), tc(Z, Y).";
+        let forms = ["tc(#, Y)?", "tc(X, #)?", "tc(X, Y)?", "tc(#, 3)?"];
+        for (threads, acyclic) in [(1, false), (4, false), (1, true), (4, true)] {
+            let setup = |c: &mut OptConfig, f: &mut FixpointConfig| {
+                c.assume_acyclic = acyclic;
+                f.threads = threads;
+            };
+            let mut warm = Session::new();
+            warm.configure(setup);
+            warm.load(&format!("e(1, 2). e(2, 3). e(3, 4).\n{RULES}"))
+                .unwrap();
+            let counting = forms.iter().any(|form| {
+                let q = parse_query(&form.replace('#', "1")).unwrap();
+                warm.explain(&q).unwrap().co.plan.method == Method::Counting
+            });
+            assert_eq!(counting, acyclic, "a counting plan to go stale");
+            let mut edges = vec![(1, 2), (2, 3), (3, 4)];
+            let mut rng = SplitMix64::seed_from_u64(threads as u64 + 2 * u64::from(acyclic));
+            for step in 0..30 {
+                let insert = match edges.len() {
+                    2 => true,
+                    5 => false,
+                    _ => rng.gen_bool(0.5),
+                };
+                let edge = if insert {
+                    let edge = (rng.gen_range(1..=5i64), rng.gen_range(1..=5i64));
+                    if edges.contains(&edge) {
+                        continue;
+                    }
+                    edges.push(edge);
+                    edge
+                } else {
+                    edges.remove(rng.gen_range(0..edges.len()))
+                };
+                let (p, t) = e(edge.0, edge.1);
+                if insert {
+                    warm.stage_insert(p, t);
+                } else {
+                    warm.stage_retract(p, t);
+                }
+                warm.commit().unwrap();
+
+                let facts: String = edges
+                    .iter()
+                    .map(|(a, b)| format!("e({a}, {b}).\n"))
+                    .collect();
+                let mut cold = Session::new();
+                cold.configure(setup);
+                cold.load(&format!("{facts}{RULES}")).unwrap();
+                let engine =
+                    Engine::evaluate(warm.program(), warm.database(), &FixpointConfig::serial())
+                        .unwrap();
+                for form in forms {
+                    for c in 1..=5 {
+                        let q = parse_query(&form.replace('#', &c.to_string())).unwrap();
+                        let what = format!(
+                            "{threads} thread(s), acyclic {acyclic}, step {step}, {}",
+                            q.goal
+                        );
+                        let mut got = warm.query(&q).unwrap().answer.tuples;
+                        let mut cold_answer = cold.query(&q).unwrap().answer.tuples;
+                        let mut engine_answer = engine.answers(&q);
+                        got.canonicalize();
+                        cold_answer.canonicalize();
+                        engine_answer.canonicalize();
+                        assert_eq!(got, cold_answer, "{what}: warm vs cold");
+                        assert_eq!(got, engine_answer, "{what}: warm vs engine");
+                    }
+                }
+                assert_eq!(warm.compilations(), forms.len(), "step {step}: recompiled");
+            }
+        }
     }
 
     #[test]
@@ -442,11 +675,15 @@ mod tests {
         let mut s = Session::new();
         s.load("p(X, Y, Z) <- X = 3, Z = X + Y.").unwrap();
         let q = parse_query("p(A, B, C)?").unwrap();
-        // The gate's rejection carries the witness report...
-        let Err(QueryError::Rejected(report)) = s.query(&q) else {
-            panic!("free form must be rejected by the gate");
-        };
-        assert!(report.has_errors());
+        // The gate's rejection carries the witness report, on every
+        // call: a rejected form is never cached or counted.
+        for _ in 0..2 {
+            let Err(QueryError::Rejected(report)) = s.query(&q) else {
+                panic!("free form must be rejected by the gate");
+            };
+            assert!(report.has_errors());
+            assert_eq!(s.compilations(), 0);
+        }
         // ...and flattens to `LdlError::Unsafe` on the text path.
         assert!(matches!(s.answers("p(A, B, C)?"), Err(LdlError::Unsafe(_))));
         // The bound form works.
@@ -495,6 +732,10 @@ mod tests {
         let mut s = ancestor_session();
         let planned = s.explain(&parse_query("anc(abe, Y)?").unwrap()).unwrap();
         assert!(planned.co.plan.cost.is_finite());
+        assert!(!planned.cached);
+        let again = s.explain(&parse_query("anc(bart, Y)?").unwrap()).unwrap();
+        assert!(again.cached);
+        assert_eq!(again.co.plan.query.to_string(), "anc(bart, Y)?");
         let tree = ProcessingTree::from_plan(s.program(), &planned.co.plan);
         assert!(tree.cc_nodes().len() == 1);
         // The explained form is compiled: running it is a cache hit.

@@ -5,10 +5,14 @@
 //! per-form `co_optimize` plan → fixpoint), a maintained
 //! [`Engine`], and a durable [`Service`] (what `ldl-serve` drives).
 //! After every committed step, for every predicate and every query form
-//! of it, `Session::query` on a cold plan cache, `Session::query` again
-//! on the warm cache with a different constant, `Engine::answers` and
-//! the service's published `StateView::answers` must return the same
-//! canonicalized relation.
+//! of it, `Session::query`, `Session::query` again with a different
+//! constant, `Engine::answers` and the service's published
+//! `StateView::answers` must return the same canonicalized relation.
+//! The plan cache is checked against an exact model: a form compiles
+//! iff it was not compiled since the cache was last emptied, which a
+//! commit does when the base sizes drift by `ldl::session::DRIFT_FACTOR`
+//! from those at the last emptying — so both fresh and stale plans are
+//! compared.
 //!
 //! The program is the one `crates/ldl-eval/tests/ivm.rs` maintains: a
 //! recursive closure, a join and a stratified negation over it, and a
@@ -18,9 +22,11 @@
 use ldl::core::parser::parse_query;
 use ldl::eval::{EdbDelta, Engine, FixpointConfig};
 use ldl::serve::Service;
+use ldl::session::DRIFT_FACTOR;
 use ldl::storage::{Database, Relation, Tuple};
 use ldl::{Pred, Session};
 use ldl_support::prop::{check, pairs, triples, usizes, vecs, Config};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One stream step: `kind` picks the operation, `a`/`b` the tuple.
@@ -93,6 +99,29 @@ fn batch(op: &Op) -> Vec<(bool, Pred, Tuple)> {
     }
 }
 
+/// Row count per base relation.
+fn base_sizes(db: &Database) -> BTreeMap<Pred, usize> {
+    db.preds()
+        .into_iter()
+        .map(|p| (p, db.relation(p).map_or(0, Relation::len)))
+        .collect()
+}
+
+/// The session's invalidation rule, restated: a relation appeared or
+/// went, or its row count moved by `DRIFT_FACTOR` either way.
+fn drifted(old: &BTreeMap<Pred, usize>, new: &BTreeMap<Pred, usize>) -> bool {
+    old.keys().ne(new.keys())
+        || old.iter().any(|(p, &a)| {
+            let b = new[p];
+            let (lo, hi) = (a.min(b), a.max(b));
+            if lo == 0 {
+                hi > 0
+            } else {
+                hi >= DRIFT_FACTOR * lo
+            }
+        })
+}
+
 fn canonical(mut rel: Relation) -> Relation {
     rel.canonicalize();
     rel
@@ -137,6 +166,9 @@ fn session_engine_and_served_answers_agree_after_every_commit() {
             let service = Service::open(&dir, &FixpointConfig::serial(), 0).unwrap();
             service.load_rules(&text).unwrap();
 
+            // No form asked yet: an empty cache, sizes as loaded.
+            let mut cached = HashSet::new();
+            let mut sizes = base_sizes(session.database());
             for (step, op) in ops.iter().enumerate() {
                 let mut delta = EdbDelta::new();
                 for (insert, pred, tuple) in batch(op) {
@@ -152,23 +184,30 @@ fn session_engine_and_served_answers_agree_after_every_commit() {
                 engine.apply_delta(&delta).unwrap();
                 let (view, _) = service.commit(&delta).unwrap();
 
+                // The cache model: a commit empties it iff the base
+                // sizes drifted from the snapshot of the last emptying.
+                let now = base_sizes(engine.database());
+                if drifted(&sizes, &now) {
+                    cached.clear();
+                    sizes = now;
+                }
                 for (i, form) in FORMS.iter().enumerate() {
                     let goal = |c: usize| {
                         let c = ((step + i + c) % NODES).to_string();
                         parse_query(&form.replace('#', &c)).unwrap()
                     };
-                    // The commit emptied the cache: the first goal of a
-                    // form compiles it, the second (another constant)
-                    // must not.
-                    let compiled = session.compilations();
-                    for (query, cold) in [(goal(0), true), (goal(1), false)] {
+                    // The first goal of a form compiles it iff the model
+                    // has no plan for it; the second (another constant)
+                    // never does.
+                    let compiled = session.compilations() + usize::from(cached.insert(form));
+                    for (query, first) in [(goal(0), true), (goal(1), false)] {
                         let got = canonical(session.query(&query).unwrap().answer.tuples);
                         assert_eq!(
                             session.compilations(),
-                            compiled + 1,
-                            "step {step}: {form} cold={cold} plan-cache use"
+                            compiled,
+                            "step {step}: {form} first={first} plan-cache use"
                         );
-                        let what = format!("step {step}: {} (cold cache: {cold})", query.goal);
+                        let what = format!("step {step}: {} (first of form: {first})", query.goal);
                         assert_eq!(got, canonical(engine.answers(&query)), "{what} vs engine");
                         assert_eq!(got, canonical(view.answers(&query)), "{what} vs served");
                     }
