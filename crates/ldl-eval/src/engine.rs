@@ -19,8 +19,8 @@ use crate::naive::{eval_program_naive, AnalysisPolicy, FixpointConfig};
 use crate::seminaive::eval_program_seminaive;
 use ldl_core::adorn::{adorn_program, AdornedProgram, GreedySip, SipStrategy};
 use ldl_core::unify::Subst;
-use ldl_core::{Atom, Program, Query, Result};
-use ldl_storage::{Database, Relation};
+use ldl_core::{Atom, Program, Query, Result, Term};
+use ldl_storage::{Database, Relation, Tuple};
 
 /// The recursive methods of §7.3 (plus the naive baseline).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -70,24 +70,94 @@ pub struct QueryAnswer {
 pub fn filter_answers(rel: &Relation, goal: &Atom) -> Relation {
     let mut out = Relation::new(rel.arity());
     for row in rel.iter() {
-        let mut s = Subst::new();
-        if goal
-            .args
-            .iter()
-            .zip(&row.0)
-            .all(|(pat, val)| s.unify(pat, val))
-        {
+        if unifies(goal, row) {
             out.insert(row.clone());
         }
     }
     out
 }
 
-/// Answers `query` over an already materialized relation for its
-/// predicate (`None`: the predicate has no tuples). One-shot
-/// evaluation, [`crate::Engine::answers`] and the daemon's served views
-/// all finish a goal here.
+/// Whether `row` unifies with the goal's arguments.
+fn unifies(goal: &Atom, row: &Tuple) -> bool {
+    let mut s = Subst::new();
+    goal.args
+        .iter()
+        .zip(&row.0)
+        .all(|(pat, val)| s.unify(pat, val))
+}
+
+/// Answers `query` over a long-lived materialized relation for its
+/// predicate (`None`: the predicate has no tuples) — what
+/// [`crate::Engine::answers`] and the daemon's served views run. The
+/// cost follows the answers, not the relation; which access runs is
+/// decided by which goal arguments are ground:
+///
+/// * **all ground** — one membership lookup: the goal's tuple or
+///   nothing;
+/// * **some ground** — a prefix probe of the relation's ordered index
+///   on (ground columns, then the rest), built once per relation
+///   version and cached in the relation, with the unify check on the
+///   probed rows only (repeated variables, compound patterns);
+/// * **none ground** — a scan, or a clone when every argument is a
+///   distinct variable.
+///
+/// Probed rids come back ascending, so every tier keeps the row order
+/// of [`filter_answers`]. Each tier reports the rows it enumerates
+/// through [`ldl_storage::note_rows_enumerated`]: the probed rows (at
+/// least 1), 1 for a lookup, the relation's length for a scan.
 pub fn answer_goal(rel: Option<&Relation>, query: &Query) -> Relation {
+    let args = &query.goal.args;
+    let Some(rel) = rel else {
+        return Relation::new(args.len());
+    };
+    let ground: Vec<usize> = (0..args.len()).filter(|&c| args[c].is_ground()).collect();
+    if ground.len() == args.len() {
+        ldl_storage::note_rows_enumerated(1);
+        let goal = Tuple::new(args.clone());
+        let hit = rel.contains(&goal).then_some(goal);
+        return Relation::from_tuples(rel.arity(), hit);
+    }
+    // When the free arguments are distinct variables, every row agreeing
+    // on the ground columns is an answer and the unify check can go.
+    let mut free_vars = Vec::new();
+    let exact = args.iter().all(|t| match t {
+        Term::Var(v) if !free_vars.contains(v) => {
+            free_vars.push(*v);
+            true
+        }
+        t => t.is_ground(),
+    });
+    if ground.is_empty() {
+        ldl_storage::note_rows_enumerated(rel.len() as u64);
+        return if exact {
+            rel.clone()
+        } else {
+            filter_answers(rel, &query.goal)
+        };
+    }
+    let order: Vec<usize> = ground
+        .iter()
+        .copied()
+        .chain((0..args.len()).filter(|c| !ground.contains(c)))
+        .collect();
+    let key: Vec<Term> = ground.iter().map(|&c| args[c].clone()).collect();
+    let rids = rel.ordered_index_on(&order).probe_prefix(rel.rows(), &key);
+    // An empty run still cost the descent, as a membership miss does.
+    ldl_storage::note_rows_enumerated(rids.len().max(1) as u64);
+    let mut out = Relation::new(rel.arity());
+    for rid in rids {
+        let row = rel.row(rid);
+        if exact || unifies(&query.goal, row) {
+            out.insert(row.clone());
+        }
+    }
+    out
+}
+
+/// The scan ends of one-shot evaluation: a relation derived for this
+/// goal alone is read once, so building an index over it would cost
+/// more than the scan it saves.
+fn scan_answers(rel: Option<&Relation>, query: &Query) -> Relation {
     match rel {
         Some(rel) => filter_answers(rel, &query.goal),
         None => Relation::new(query.pred().arity),
@@ -143,7 +213,7 @@ pub fn evaluate_query_sip(
                 .get(&query.pred())
                 .or_else(|| db.relation(query.pred()));
             Ok(QueryAnswer {
-                tuples: answer_goal(rel, query),
+                tuples: scan_answers(rel, query),
                 metrics,
             })
         }
@@ -152,7 +222,7 @@ pub fn evaluate_query_sip(
             // filter the stored relation directly.
             if !program.derived_preds().contains(&query.pred()) {
                 return Ok(QueryAnswer {
-                    tuples: answer_goal(db.relation(query.pred()), query),
+                    tuples: scan_answers(db.relation(query.pred()), query),
                     metrics: Metrics::default(),
                 });
             }
@@ -235,7 +305,7 @@ pub fn evaluate_adorned(
             mdb.relation_mut(magic.seed_pred).insert(magic.seed.clone());
             let (derived, metrics) = eval_program_seminaive(&magic.program, &mdb, cfg)?;
             Ok(QueryAnswer {
-                tuples: answer_goal(derived.get(&magic.answer_pred), query),
+                tuples: scan_answers(derived.get(&magic.answer_pred), query),
                 metrics,
             })
         }
@@ -271,7 +341,6 @@ pub fn evaluate_adorned(
 mod tests {
     use super::*;
     use ldl_core::parser::{parse_program, parse_query};
-    use ldl_storage::Tuple;
 
     const SG: &str = r#"
         up(1, 10). up(2, 10). up(3, 20). up(10, 100). up(20, 100).

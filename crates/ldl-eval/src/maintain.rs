@@ -240,7 +240,8 @@ impl Engine {
     }
 
     /// Query answers against the maintained state: the goal's relation
-    /// filtered by the goal's ground arguments.
+    /// filtered by the goal's ground arguments, by membership lookup or
+    /// index probe where they allow ([`crate::engine::answer_goal`]).
     pub fn answers(&self, query: &ldl_core::Query) -> Relation {
         crate::engine::answer_goal(self.relation(query.pred()), query)
     }

@@ -77,8 +77,9 @@ pub struct CoOptimized {
     /// The winning plan.
     pub plan: OptimizedQuery,
     /// The catalog implied by the winning plan's orders — what the
-    /// executor should build.
-    pub catalog: IndexCatalog,
+    /// executor should build. Shared, so a run hands it to the executor
+    /// without copying it.
+    pub catalog: Arc<IndexCatalog>,
     /// Fixpoint counters.
     pub stats: CoOptStats,
 }
@@ -93,10 +94,21 @@ impl CoOptimized {
         db: &Database,
         cfg: &FixpointConfig,
     ) -> Result<QueryAnswer> {
-        let cfg = cfg
-            .clone()
-            .with_index_catalog(Arc::new(self.catalog.clone()));
-        self.plan.execute(program, db, &cfg)
+        self.execute_goal(&self.plan.query, program, db, cfg)
+    }
+
+    /// [`CoOptimized::execute`] for another goal of the plan's query
+    /// form (see [`OptimizedQuery::execute_goal`]) — how a cached plan
+    /// answers a goal with new constants without being copied.
+    pub fn execute_goal(
+        &self,
+        query: &Query,
+        program: &Program,
+        db: &Database,
+        cfg: &FixpointConfig,
+    ) -> Result<QueryAnswer> {
+        let cfg = cfg.clone().with_index_catalog(self.catalog.clone());
+        self.plan.execute_goal(query, program, db, &cfg)
     }
 }
 
@@ -178,7 +190,7 @@ pub fn co_optimize(
     let catalog = IndexCatalog::from_signature_maps(&winning_maps.0, &winning_maps.1);
     Ok(CoOptimized {
         plan,
-        catalog,
+        catalog: Arc::new(catalog),
         stats,
     })
 }

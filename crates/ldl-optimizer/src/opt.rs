@@ -245,23 +245,41 @@ impl OptimizedQuery {
         db: &Database,
         cfg: &FixpointConfig,
     ) -> Result<QueryAnswer> {
+        self.execute_goal(&self.query, program, db, cfg)
+    }
+
+    /// [`OptimizedQuery::execute`] for another goal of the same query
+    /// form: orders, method and index set depend only on the form (§2),
+    /// so one compiled plan answers every constant.
+    pub fn execute_goal(
+        &self,
+        query: &Query,
+        program: &Program,
+        db: &Database,
+        cfg: &FixpointConfig,
+    ) -> Result<QueryAnswer> {
+        debug_assert_eq!(
+            (query.pred(), query.adornment()),
+            (self.query.pred(), self.query.adornment()),
+            "a plan answers goals of its own form only"
+        );
         let sip = self.sip();
-        let attempt = evaluate_query_sip(program, db, &self.query, self.method, cfg, &sip);
+        let attempt = evaluate_query_sip(program, db, query, self.method, cfg, &sip);
         match attempt {
             Err(LdlError::Diverged(_) | LdlError::Validation(_))
                 if self.method == Method::Counting =>
             {
                 // Divergence (cyclic data) or inapplicability: magic is
                 // the binding-propagating fallback.
-                match evaluate_query_sip(program, db, &self.query, Method::Magic, cfg, &sip) {
+                match evaluate_query_sip(program, db, query, Method::Magic, cfg, &sip) {
                     Err(LdlError::Validation(_)) => {
-                        evaluate_query_sip(program, db, &self.query, Method::SemiNaive, cfg, &sip)
+                        evaluate_query_sip(program, db, query, Method::SemiNaive, cfg, &sip)
                     }
                     other => other,
                 }
             }
             Err(LdlError::Validation(_)) if self.method != Method::SemiNaive => {
-                evaluate_query_sip(program, db, &self.query, Method::SemiNaive, cfg, &sip)
+                evaluate_query_sip(program, db, query, Method::SemiNaive, cfg, &sip)
             }
             other => other,
         }

@@ -16,7 +16,6 @@ use ldl_eval::{evaluate_query, AccessPaths, FixpointConfig, Method};
 use ldl_optimizer::{co_optimize, OptConfig};
 use ldl_storage::Database;
 use ldl_support::prop::{check, pairs, triples, usizes, vecs, Config};
-use std::sync::Arc;
 
 /// Rule blocks that each put different demands on the index catalog,
 /// with all-free and (where interesting) bound query forms.
@@ -95,7 +94,7 @@ fn co_optimized_catalog_preserves_answers_and_metrics() {
                     let q = parse_query(qtext).unwrap();
                     let co = co_optimize(&program, &db, &OptConfig::default(), &q, None)
                         .unwrap_or_else(|e| panic!("co_optimize failed for {qtext}: {e}\n{text}"));
-                    let catalog = Arc::new(co.catalog.clone());
+                    let catalog = co.catalog.clone();
                     for method in [Method::Naive, Method::SemiNaive, Method::Magic] {
                         for threads in [1, 4] {
                             for access in [AccessPaths::Selected, AccessPaths::ForceScan] {

@@ -83,6 +83,8 @@ impl StateView {
 
     /// Query answers against this view (goal's relation filtered by the
     /// goal's ground arguments) — same semantics as `Engine::answers`.
+    /// A bound goal probes: see [`answer_goal`] for the access tiers
+    /// and the per-view index they build once.
     pub fn answers(&self, query: &Query) -> ldl_storage::Relation {
         answer_goal(self.relation(query.pred()), query)
     }

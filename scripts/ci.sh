@@ -103,7 +103,10 @@ echo "    digests identical: $workloads workload(s) × {maintained, from-scratch
 # drive a full session from ldl-shell client mode (load rules, commit a
 # batch, query, digest), kill the daemon without ceremony, restart it
 # over the same data directory, and require the recovered digest to be
-# bit-for-bit the one the live session reported. The commit/query
+# bit-for-bit the one the live session reported. Both sessions ask a
+# partially bound goal (the daemon's ordered-index probe), a fully bound
+# present one and a fully bound absent one (its membership lookup), and
+# the recovered answers must equal the live ones. The commit/query
 # throughput bench embeds the same digest before and after its streamed
 # commits, so its single-digest check rides the same gate.
 echo "==> ldl-serve durability smoke (commit, kill, recover, digest diff)"
@@ -121,6 +124,8 @@ tc(X, Y) <- e(X, Y). tc(X, Y) <- e(X, Z), tc(Z, Y).
 :insert e(1, 2). e(2, 3). e(3, 4).
 :commit
 tc(1, Y)?
+tc(1, 4)?
+tc(4, 1)?
 :digest
 :quit
 EOF
@@ -136,6 +141,8 @@ serve_pid=$!
 for _ in $(seq 50); do [ -S "$serve_sock" ] && break; sleep 0.1; done
 ./target/debug/ldl-shell --connect "$serve_sock" > "$serve_dir/session2.log" <<'EOF'
 tc(1, Y)?
+tc(1, 4)?
+tc(4, 1)?
 :digest
 :shutdown
 EOF
@@ -148,6 +155,15 @@ for s in 1 2; do
 done
 diff "$serve_dir/digest1" "$serve_dir/digest2" \
     || { echo "    FAIL: recovered digest differs from the live session"; exit 1; }
+for s in 1 2; do
+    sed 's/^ldl> //' "$serve_dir/session$s.log" | grep -E '^(tc\(|[0-9]+ answer)' \
+        > "$serve_dir/answers$s"
+done
+grep -qx "1 answer(s)" "$serve_dir/answers1" && grep -qx "0 answer(s)" "$serve_dir/answers1" \
+    || { echo "    FAIL: live bound goals wrong"; cat "$serve_dir/answers1"; exit 1; }
+diff "$serve_dir/answers1" "$serve_dir/answers2" \
+    || { echo "    FAIL: recovered answers differ from the live session"; exit 1; }
+echo "    recovered answers match: $(wc -l < "$serve_dir/answers1") line(s)"
 echo "    recovered digest matches: $(cat "$serve_dir/digest1")"
 
 echo "==> serve stream commit/query digest diff (before vs after streamed commits)"

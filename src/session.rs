@@ -36,6 +36,7 @@ use ldl_eval::{EdbDelta, Engine, FixpointConfig, MaintenanceReport};
 use ldl_optimizer::{co_optimize, CoOptimized, OptConfig};
 use ldl_storage::{Database, Relation, Tuple};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// A compiled-plan cache key: the query form.
@@ -79,11 +80,13 @@ pub struct Loaded {
     pub queries: Vec<Query>,
 }
 
-/// A query form's compiled plan, instantiated for one goal.
+/// A query form's compiled plan, as the cache holds it.
 #[derive(Debug)]
 pub struct Planned {
-    /// The plan and its co-optimized index set.
-    pub co: CoOptimized,
+    /// The plan and its co-optimized index set, shared with the cache.
+    /// `co.plan.query` is the goal the form was compiled for; the plan
+    /// answers every goal of the form ([`CoOptimized::execute_goal`]).
+    pub co: Rc<CoOptimized>,
     /// Time spent obtaining it: a `co_optimize` run on a cache miss,
     /// a lookup on a hit.
     pub elapsed: Duration,
@@ -138,7 +141,7 @@ pub struct Session {
     /// Built by the first commit after a program change, dropped by the
     /// next one.
     engine: Option<Engine>,
-    plans: HashMap<FormKey, CoOptimized>,
+    plans: HashMap<FormKey, Rc<CoOptimized>>,
     /// Base-relation row counts when `plans` was last emptied.
     sizes: Sizes,
     compilations: usize,
@@ -270,7 +273,7 @@ impl Session {
     pub fn explain(&mut self, query: &Query) -> std::result::Result<Planned, QueryError> {
         let started = Instant::now();
         let key = (query.pred(), query.adornment());
-        let (mut co, cached, started) = match self.plans.get(&key) {
+        let (co, cached, started) = match self.plans.get(&key) {
             // Only a form that passed the gate under this program and
             // configuration is cached, and the verdict reads nothing
             // but predicate, adornment and `assume_acyclic`.
@@ -280,14 +283,12 @@ impl Session {
                 let started = Instant::now();
                 let co = co_optimize(&self.program, self.database(), &self.cfg, query, None)
                     .map_err(QueryError::Plan)?;
+                let co = Rc::new(co);
                 self.compilations += 1;
                 self.plans.insert(key, co.clone());
                 (co, false, started)
             }
         };
-        // Orders, method and index set depend only on the form (§2):
-        // swap in this goal's constants.
-        co.plan.query = query.clone();
         Ok(Planned {
             co,
             elapsed: started.elapsed(),
@@ -328,7 +329,7 @@ impl Session {
         let started = Instant::now();
         let answer = planned
             .co
-            .execute(&self.program, self.database(), &cfg)
+            .execute_goal(query, &self.program, self.database(), &cfg)
             .map_err(QueryError::Run)?;
         Ok(Answered {
             planned,
@@ -735,7 +736,8 @@ mod tests {
         assert!(!planned.cached);
         let again = s.explain(&parse_query("anc(bart, Y)?").unwrap()).unwrap();
         assert!(again.cached);
-        assert_eq!(again.co.plan.query.to_string(), "anc(bart, Y)?");
+        // A hit hands out the cached plan itself, not a copy.
+        assert!(Rc::ptr_eq(&planned.co, &again.co));
         let tree = ProcessingTree::from_plan(s.program(), &planned.co.plan);
         assert!(tree.cc_nodes().len() == 1);
         // The explained form is compiled: running it is a cache hit.
