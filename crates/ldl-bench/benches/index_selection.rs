@@ -1,9 +1,9 @@
 //! Index selection before/after on the recursive workloads.
 //!
 //! Runs the full semi-naive evaluation of the benchmark workloads
-//! (same-generation trees, transitive-closure chains) under the three
-//! access-path policies — selected ordered indexes, on-demand hashes,
-//! forced scans — and records the timings to
+//! (same-generation trees, transitive-closure chains) under the two
+//! access-path policies — ordered indexes (selected, or built on demand
+//! for a catalog miss) and forced scans — and records the timings to
 //! `BENCH_index_selection.json`. Every label embeds a digest of the
 //! complete result (relations in insertion order plus metrics), so any
 //! divergence across policies is visible in the JSON and asserted here:
@@ -51,7 +51,6 @@ fn digest(program: &Program, db: &Database, cfg: &FixpointConfig) -> u64 {
 fn policy_name(paths: AccessPaths) -> &'static str {
     match paths {
         AccessPaths::Selected => "selected",
-        AccessPaths::HashOnDemand => "hash",
         AccessPaths::ForceScan => "scan",
     }
 }
@@ -85,11 +84,7 @@ fn main() {
         );
 
         let mut digests: Vec<(&'static str, u64)> = Vec::new();
-        for paths in [
-            AccessPaths::Selected,
-            AccessPaths::HashOnDemand,
-            AccessPaths::ForceScan,
-        ] {
+        for paths in [AccessPaths::Selected, AccessPaths::ForceScan] {
             let cfg = FixpointConfig::serial().with_access_paths(paths);
             let d = digest(program, &db, &cfg);
             digests.push((policy_name(paths), d));
@@ -100,12 +95,10 @@ fn main() {
             h.bench(
                 name,
                 &format!(
-                    "work paths={} obuild={} oprobe={} hbuild={} hprobe={}",
+                    "work paths={} obuild={} oprobe={}",
                     policy_name(paths),
                     w.ordered_builds,
-                    w.ordered_probes,
-                    w.hash_builds,
-                    w.hash_probes
+                    w.ordered_probes
                 ),
                 IndexCounters::snapshot,
             );

@@ -11,6 +11,7 @@ use ldl_core::{Pred, Program};
 use ldl_eval::materialized::eval_rule_materialized;
 use ldl_eval::ops::JoinMethod;
 use ldl_eval::rule_eval::{eval_rule_with, AccessPlan, OverlaySource};
+use ldl_index::IndexCatalog;
 use ldl_storage::{Database, Relation};
 use ldl_support::bench::Harness;
 use std::fmt::Write as _;
@@ -34,6 +35,7 @@ fn main() {
     for n in [1000usize, 5000] {
         let program = chain_program(n);
         let db = Database::from_program(&program);
+        let empty = IndexCatalog::default();
         for (label, rule_idx) in [("selective", 0usize), ("full-join", 1usize)] {
             let rule = program.rules[rule_idx].clone();
             let order: Vec<usize> = (0..rule.body.len()).collect();
@@ -46,7 +48,7 @@ fn main() {
                         overrides: &[],
                     };
                     let mut out = Relation::new(rule.head.args.len());
-                    let plan = AccessPlan::HashOnDemand;
+                    let plan = AccessPlan::Selected(&empty);
                     eval_rule_with(&rule, &order, &Subst::new(), &source, plan, &mut |t| {
                         out.insert(t);
                     })

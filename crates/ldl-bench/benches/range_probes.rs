@@ -2,8 +2,8 @@
 //!
 //! Runs the full semi-naive evaluation of the P3 workload — an
 //! equality-prefix range rule and an empty-prefix range rule over a
-//! `groups × per_group` table — under the three access-path policies
-//! and records timings to `BENCH_range_probes.json`. Every label embeds
+//! `groups × per_group` table — under both access-path policies and
+//! records timings to `BENCH_range_probes.json`. Every label embeds
 //! a digest of the complete result (relations in insertion order plus
 //! metrics), so any divergence across policies is visible in the JSON
 //! and asserted here: whatever the probes cost, the answers are
@@ -49,7 +49,6 @@ fn digest(program: &Program, db: &Database, cfg: &FixpointConfig) -> u64 {
 fn policy_name(paths: AccessPaths) -> &'static str {
     match paths {
         AccessPaths::Selected => "selected",
-        AccessPaths::HashOnDemand => "hash",
         AccessPaths::ForceScan => "scan",
     }
 }
@@ -67,11 +66,7 @@ fn main() {
 
     let mut digests: Vec<(&'static str, u64)> = Vec::new();
     let mut rows: Vec<(&'static str, u64)> = Vec::new();
-    for paths in [
-        AccessPaths::Selected,
-        AccessPaths::HashOnDemand,
-        AccessPaths::ForceScan,
-    ] {
+    for paths in [AccessPaths::Selected, AccessPaths::ForceScan] {
         let cfg = FixpointConfig::serial().with_access_paths(paths);
         let d = digest(&program, &db, &cfg);
         digests.push((policy_name(paths), d));
@@ -83,12 +78,11 @@ fn main() {
         h.bench(
             &name,
             &format!(
-                "work paths={} rprobe={} rows={} oprobe={} hprobe={}",
+                "work paths={} rprobe={} rows={} oprobe={}",
                 policy_name(paths),
                 w.range_probes,
                 w.rows_enumerated,
-                w.ordered_probes,
-                w.hash_probes
+                w.ordered_probes
             ),
             IndexCounters::snapshot,
         );
@@ -106,7 +100,7 @@ fn main() {
         );
     }
     let selected_rows = rows[0].1;
-    let scan_rows = rows[2].1;
+    let scan_rows = rows[1].1;
     assert!(
         selected_rows < scan_rows,
         "{name}: range probes must enumerate fewer rows \

@@ -11,22 +11,35 @@
 //! 1. the chain-cover selection emits *fewer* indexes than the ad-hoc
 //!    per-signature count whenever signatures nest, and never more;
 //! 2. selected mode builds one ordered index per (relation version,
-//!    selected order) — strictly fewer builds than hash mode pays for
-//!    the same probes when signatures share a chain;
-//! 3. answers and [`Metrics`] are bit-for-bit identical across the
-//!    three access-path policies, through the raw fixpoint and through
-//!    the engine's magic rewriting.
+//!    selected order) — strictly fewer builds than a catalog without
+//!    the cover pays for the same probes, one on-demand order per
+//!    signature, when signatures share a chain;
+//! 3. answers and [`Metrics`] are bit-for-bit identical across both
+//!    access-path policies, through the raw fixpoint and through the
+//!    engine's magic rewriting;
+//! 4. a probe the catalog misses builds one order per relation version
+//!    and serves every later probe of that version from it.
 
 use ldl_bench::workload::{same_generation, transitive_closure_chains};
 use ldl_core::parser::{parse_program, parse_query};
 use ldl_core::Pred;
 use ldl_eval::seminaive::eval_program_seminaive;
 use ldl_eval::{evaluate_query, AccessPaths, FixpointConfig, Method};
-use ldl_index::IndexCatalog;
+use ldl_index::{IndexCatalog, SignatureMap};
 use ldl_storage::{Database, IndexCounters};
+use std::sync::Arc;
 
 fn fixpoint_cfg(paths: AccessPaths) -> FixpointConfig {
     FixpointConfig::serial().with_access_paths(paths)
+}
+
+/// `Selected` with a catalog that selects no order for `pred`, so every
+/// probe of `pred` misses and builds an order on its bound columns.
+fn no_orders_for(pred: Pred) -> FixpointConfig {
+    let map = SignatureMap::from([(pred, Default::default())]);
+    let catalog = IndexCatalog::from_signatures(&map);
+    assert!(catalog.orders(pred).is_empty());
+    fixpoint_cfg(AccessPaths::Selected).with_index_catalog(Arc::new(catalog))
 }
 
 #[test]
@@ -55,43 +68,43 @@ fn index_selection_acceptance() {
         catalog.total_signatures()
     );
 
-    // --- 2. Build counts: selected mode shares, hash mode cannot. ---
-    let db = Database::from_program(&nested_prog);
-    let ((hash_rel, hash_m), hash_work) = IndexCounters::scoped(|| {
-        eval_program_seminaive(&nested_prog, &db, &fixpoint_cfg(AccessPaths::HashOnDemand)).unwrap()
+    // --- 2. Build counts: the chain cover shares one order, a catalog
+    //        without it builds one per signature. ---
+    // Each run gets its own database: cached orders live on the
+    // relations, and the miss run's order on {0, 1} is the cover's.
+    let ((miss_rel, miss_m), miss_work) = IndexCounters::scoped(|| {
+        let db = Database::from_program(&nested_prog);
+        eval_program_seminaive(&nested_prog, &db, &no_orders_for(p)).unwrap()
     });
     let ((sel_rel, sel_m), sel_work) = IndexCounters::scoped(|| {
+        let db = Database::from_program(&nested_prog);
         eval_program_seminaive(&nested_prog, &db, &fixpoint_cfg(AccessPaths::Selected)).unwrap()
     });
-    assert_eq!(sel_rel.len(), hash_rel.len());
-    for (pred, rel) in &hash_rel {
+    assert_eq!(sel_rel.len(), miss_rel.len());
+    for (pred, rel) in &miss_rel {
         assert_eq!(
             sel_rel[pred].rows(),
             rel.rows(),
-            "{pred}: rows diverge across modes"
+            "{pred}: rows diverge across catalogs"
         );
     }
-    assert_eq!(sel_m, hash_m, "metrics diverge across access modes");
+    assert_eq!(sel_m, miss_m, "metrics diverge across catalogs");
     assert_eq!(
         sel_work.ordered_builds, 1,
         "both signatures must share one ordered build, got {sel_work:?}"
     );
     assert_eq!(
-        hash_work.hash_builds, 2,
-        "hash mode pays one build per distinct key set, got {hash_work:?}"
+        miss_work.ordered_builds, 2,
+        "without the cover each key set builds its own order, got {miss_work:?}"
     );
-    assert!(sel_work.ordered_builds < hash_work.hash_builds);
+    assert_eq!(sel_work.ordered_probes, miss_work.ordered_probes);
     assert!(
         sel_work.ordered_probes > 0,
         "selected mode must actually probe: {sel_work:?}"
     );
-    assert_eq!(
-        sel_work.hash_builds, 0,
-        "no hash fallback expected here: {sel_work:?}"
-    );
 
     // --- 3. Recursive workloads: distinct builds per relation version,
-    //        identical answers and metrics across all three policies. ---
+    //        identical answers and metrics across both policies. ---
     let (sg, _) = same_generation(2, 8);
     let (tc, _) = transitive_closure_chains(64, 4);
     for (program, what) in [(&sg, "sg"), (&tc, "tc")] {
@@ -114,20 +127,19 @@ fn index_selection_acceptance() {
              ({} builds for {selected_orders} selected orders)",
             sel_work.ordered_builds
         );
-        for paths in [AccessPaths::HashOnDemand, AccessPaths::ForceScan] {
-            let (rel, m) = eval_program_seminaive(program, &db, &fixpoint_cfg(paths)).unwrap();
-            assert_eq!(m, ref_m, "{what}: metrics diverge under {paths:?}");
-            for (pred, r) in &ref_rel {
-                assert_eq!(
-                    rel[pred].rows(),
-                    r.rows(),
-                    "{what}/{pred}: rows diverge vs {paths:?}"
-                );
-            }
+        let scan = fixpoint_cfg(AccessPaths::ForceScan);
+        let (rel, m) = eval_program_seminaive(program, &db, &scan).unwrap();
+        assert_eq!(m, ref_m, "{what}: metrics diverge under ForceScan");
+        for (pred, r) in &ref_rel {
+            assert_eq!(
+                rel[pred].rows(),
+                r.rows(),
+                "{what}/{pred}: rows diverge vs ForceScan"
+            );
         }
     }
 
-    // --- 4. Engine-level: magic-rewritten bound query, all policies. ---
+    // --- 4. Engine-level: magic-rewritten bound query, both policies. ---
     let (sg, leaf) = same_generation(2, 8);
     let db = Database::from_program(&sg);
     let query = parse_query(&format!("sg({leaf}, Y)?")).unwrap();
@@ -140,16 +152,52 @@ fn index_selection_acceptance() {
     )
     .unwrap();
     assert!(!reference.tuples.is_empty());
-    for paths in [AccessPaths::Selected, AccessPaths::HashOnDemand] {
-        let got = evaluate_query(&sg, &db, &query, Method::Magic, &fixpoint_cfg(paths)).unwrap();
-        assert_eq!(
-            got.tuples.rows(),
-            reference.tuples.rows(),
-            "answers diverge under {paths:?}"
-        );
-        assert_eq!(
-            got.metrics, reference.metrics,
-            "metrics diverge under {paths:?}"
-        );
+    let selected = fixpoint_cfg(AccessPaths::Selected);
+    let got = evaluate_query(&sg, &db, &query, Method::Magic, &selected).unwrap();
+    assert_eq!(
+        got.tuples.rows(),
+        reference.tuples.rows(),
+        "answers diverge under Selected"
+    );
+    assert_eq!(
+        got.metrics, reference.metrics,
+        "metrics diverge under Selected"
+    );
+}
+
+/// A probe the catalog does not serve builds one order on its bound
+/// columns for the relation version and answers every later probe of
+/// that version from it: N probes cost 1 build and N prefix probes,
+/// with the rows and [`Metrics`] of a forced scan.
+#[test]
+fn catalog_miss_builds_one_order_per_relation_version() {
+    const N: i64 = 20;
+    let mut text = String::new();
+    for i in 0..N {
+        text.push_str(&format!(
+            "a({i}).\ne({i}, {}).\ne({i}, {}).\n",
+            i + 1,
+            i + 2
+        ));
+    }
+    text.push_str("hit(X, Y) <- a(X), e(X, Y).\n");
+    let program = parse_program(&text).unwrap();
+    let db = Database::from_program(&program);
+    let e = Pred::new("e", 2);
+    assert!(IndexCatalog::build(&program).lookup(e, &[0]).is_some());
+    let ((miss_rel, miss_m), work) =
+        IndexCounters::scoped(|| eval_program_seminaive(&program, &db, &no_orders_for(e)).unwrap());
+    assert_eq!(work.ordered_builds, 1, "one order per version: {work:?}");
+    assert_eq!(
+        work.ordered_probes, N as u64,
+        "one probe per a-row: {work:?}"
+    );
+    let scan = fixpoint_cfg(AccessPaths::ForceScan);
+    let (scan_rel, scan_m) = eval_program_seminaive(&program, &db, &scan).unwrap();
+    assert_eq!(miss_m, scan_m, "metrics diverge from the scan");
+    let hit = Pred::new("hit", 2);
+    assert_eq!(miss_rel[&hit].len(), 2 * N as usize);
+    for (pred, r) in &scan_rel {
+        assert_eq!(miss_rel[pred].rows(), r.rows(), "{pred}: rows diverge");
     }
 }

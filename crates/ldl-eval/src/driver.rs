@@ -111,7 +111,8 @@ pub(crate) struct EvalCtx<'a> {
 
 impl<'a> EvalCtx<'a> {
     /// The context of evaluating `program` over `db` under `cfg`, probing
-    /// through the catalog [`FixpointConfig::catalog`] built for it.
+    /// through the catalog [`FixpointConfig::catalog`] built for it
+    /// (`None` exactly under `ForceScan`).
     pub fn new(
         program: &'a Program,
         db: &'a Database,
@@ -122,7 +123,10 @@ impl<'a> EvalCtx<'a> {
             program,
             db,
             cfg,
-            plan: cfg.plan(catalog),
+            plan: match catalog {
+                Some(cat) => AccessPlan::Selected(cat),
+                None => AccessPlan::ForceScan,
+            },
         }
     }
 

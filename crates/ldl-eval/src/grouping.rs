@@ -100,6 +100,7 @@ mod tests {
     use crate::rule_eval::OverlaySource;
     use ldl_core::parser::parse_program;
     use ldl_core::Pred;
+    use ldl_index::IndexCatalog;
     use ldl_storage::Database;
 
     fn run_grouping(text: &str, rule_idx: usize) -> Vec<Tuple> {
@@ -107,12 +108,13 @@ mod tests {
         let db = Database::from_program(&program);
         let rule = &program.rules[rule_idx];
         let order: Vec<usize> = (0..rule.body.len()).collect();
+        let empty = IndexCatalog::default();
         let source = OverlaySource {
             base: |p: Pred| db.relation(p),
             overrides: &[],
         };
         let (mut out, _) =
-            eval_grouping_rule_with(rule, &order, &source, AccessPlan::HashOnDemand).unwrap();
+            eval_grouping_rule_with(rule, &order, &source, AccessPlan::Selected(&empty)).unwrap();
         out.sort_by_key(|t| t.to_string());
         out
     }

@@ -240,6 +240,7 @@ mod tests {
     use crate::rule_eval::{eval_rule_with, AccessPlan, OverlaySource};
     use ldl_core::parser::parse_program;
     use ldl_core::Pred;
+    use ldl_index::IndexCatalog;
     use ldl_storage::Database;
 
     fn both_executors(text: &str, rule_idx: usize, order: &[usize]) -> (Relation, Relation) {
@@ -252,7 +253,8 @@ mod tests {
         };
         let mat = eval_rule_materialized(rule, order, JoinMethod::Hash, &source, false).unwrap();
         let mut pipe = Relation::new(rule.head.args.len());
-        let plan = AccessPlan::HashOnDemand;
+        let empty = IndexCatalog::default();
+        let plan = AccessPlan::Selected(&empty);
         eval_rule_with(rule, order, &Subst::new(), &source, plan, &mut |t| {
             pipe.insert(t);
         })

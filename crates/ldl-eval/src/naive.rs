@@ -9,48 +9,44 @@
 
 use crate::driver::{eval_program, Mode};
 use crate::metrics::Metrics;
-use crate::rule_eval::AccessPlan;
 use ldl_core::{Pred, Program, Result};
 use ldl_index::IndexCatalog;
 use ldl_storage::{Database, Relation};
 use std::collections::HashMap;
 
 /// Which access paths the fixpoint evaluators give their probe sites
-/// (the owned counterpart of [`AccessPlan`], which borrows a catalog).
+/// (the owned counterpart of [`crate::rule_eval::AccessPlan`], which
+/// borrows a catalog).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AccessPaths {
     /// Solve the minimum chain cover over the program's search
     /// signatures once per evaluation and probe the selected ordered
-    /// indexes, falling back to on-demand hashes for anything the
-    /// catalog does not serve. The default.
+    /// indexes; a probe the catalog does not serve builds an order on
+    /// its bound columns on first use. The default.
     #[default]
     Selected,
-    /// On-demand hash indexes only (the pre-selection behavior).
-    HashOnDemand,
     /// Full scans only — the baseline the equivalence tests compare
-    /// both probing modes against.
+    /// the probing mode against.
     ForceScan,
 }
 
 impl AccessPaths {
     /// The policy named by the `LDL_ACCESS_PATHS` environment variable
-    /// (`selected` / `hash` / `scan`), or `Selected` when unset or
+    /// (`selected` / `scan`), or `Selected` when unset or
     /// unrecognized. [`FixpointConfig::default`] reads this, so every
     /// entry point — shell, session, benches — honors the override.
     pub fn from_env() -> AccessPaths {
         match std::env::var("LDL_ACCESS_PATHS").as_deref() {
-            Ok("hash") => AccessPaths::HashOnDemand,
             Ok("scan") => AccessPaths::ForceScan,
             _ => AccessPaths::Selected,
         }
     }
 
     /// Parses a policy name as accepted by `LDL_ACCESS_PATHS` and the
-    /// shell's `--access-paths` flag.
+    /// shell's `:paths` command.
     pub fn parse(name: &str) -> Option<AccessPaths> {
         match name {
             "selected" => Some(AccessPaths::Selected),
-            "hash" => Some(AccessPaths::HashOnDemand),
             "scan" => Some(AccessPaths::ForceScan),
             _ => None,
         }
@@ -73,7 +69,7 @@ pub struct FixpointConfig {
     /// Defaults to `LDL_EVAL_THREADS` or the machine's parallelism.
     pub threads: usize,
     /// Access-path policy for probe sites (see [`AccessPaths`]).
-    /// Defaults to `LDL_ACCESS_PATHS` (`selected` / `hash` / `scan`) or
+    /// Defaults to `LDL_ACCESS_PATHS` (`selected` / `scan`) or
     /// [`AccessPaths::Selected`].
     pub access_paths: AccessPaths,
     /// Static-analysis gate run by the query entry points before
@@ -177,8 +173,8 @@ impl FixpointConfig {
     /// `Some` only in [`AccessPaths::Selected`] mode, built from the
     /// program actually being evaluated and overlaid with the
     /// co-optimized override when one is attached. Callers hold the
-    /// catalog and borrow it into an [`AccessPlan`] via
-    /// [`FixpointConfig::plan`].
+    /// catalog and borrow it into an [`crate::rule_eval::AccessPlan`] via
+    /// `EvalCtx::new`.
     pub(crate) fn catalog(&self, program: &Program) -> Option<IndexCatalog> {
         (self.access_paths == AccessPaths::Selected).then(|| {
             let built = IndexCatalog::build(program);
@@ -187,16 +183,6 @@ impl FixpointConfig {
                 None => built,
             }
         })
-    }
-
-    /// The borrow-level access plan for a catalog built by
-    /// [`FixpointConfig::catalog`].
-    pub(crate) fn plan<'a>(&self, catalog: &'a Option<IndexCatalog>) -> AccessPlan<'a> {
-        match (self.access_paths, catalog) {
-            (AccessPaths::Selected, Some(cat)) => AccessPlan::Selected(cat),
-            (AccessPaths::ForceScan, _) => AccessPlan::ForceScan,
-            _ => AccessPlan::HashOnDemand,
-        }
     }
 }
 

@@ -18,7 +18,8 @@ pub enum JoinMethod {
     NestedLoop,
     /// Build a hash table on the right operand's key: O(|L| + |R|).
     Hash,
-    /// Probe a (cached) index on the right operand: O(|L| · match).
+    /// Probe a (cached) ordered index on the right operand:
+    /// O(|L| · log |R| + match).
     Index,
 }
 
@@ -76,11 +77,11 @@ pub fn join(
         }
         JoinMethod::Index => {
             let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-            let idx = right.index_on(&rcols);
+            let idx = right.ordered_index_on(&rcols);
             let lcols: Vec<usize> = on.iter().map(|&(lc, _)| lc).collect();
             for l in left.iter() {
                 let key: Vec<Term> = lcols.iter().map(|&c| l.get(c).clone()).collect();
-                for &rid in idx.probe(&key) {
+                for rid in idx.probe_prefix(right.rows(), &key) {
                     out.insert(l.concat(right.row(rid)));
                 }
             }

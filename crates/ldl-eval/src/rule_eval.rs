@@ -2,10 +2,10 @@
 //!
 //! Evaluates one rule body in an explicit literal order — the SIP chosen
 //! by the optimizer — by backtracking over substitutions. Each positive
-//! atom is solved against its relation, probing a hash index on the
-//! argument positions that are already ground (the pipelined index join
-//! of §4); remaining argument patterns unify tuple-by-tuple, which is what
-//! makes complex terms work. Builtins execute via [`crate::builtins`];
+//! atom is solved against its relation, probing an ordered index led by
+//! the argument positions that are already ground (the pipelined index
+//! join of §4); remaining argument patterns unify tuple-by-tuple, which
+//! is what makes complex terms work. Builtins execute via [`crate::builtins`];
 //! negated atoms test set membership against a completed relation
 //! (stratified semantics).
 
@@ -18,19 +18,17 @@ use std::ops::Bound;
 
 /// How positive-atom probe sites pick their access path.
 ///
-/// The three modes produce identical solution streams (ordered probes
-/// return row ids ascending, the same order hash probes and scans
-/// enumerate), so answers and [`crate::Metrics`] are bit-for-bit equal
-/// across modes — only the index work differs.
-#[derive(Clone, Copy, Debug, Default)]
+/// The two modes produce identical solution streams (ordered probes
+/// return row ids ascending, the order a scan enumerates), so answers
+/// and [`crate::Metrics`] are bit-for-bit equal across modes — only the
+/// index work differs.
+#[derive(Clone, Copy, Debug)]
 pub enum AccessPlan<'a> {
-    /// Build a hash index per distinct key-column set on demand (the
-    /// pre-selection behavior).
-    #[default]
-    HashOnDemand,
-    /// Consult a selected-index catalog first: a bound-column set served
-    /// by one of the catalog's lexicographic orders probes that shared
-    /// ordered index; anything else falls back to an on-demand hash.
+    /// Probe ordered indexes: a bound-column set served by one of the
+    /// catalog's lexicographic orders probes that shared index; any
+    /// other set probes an order on exactly its columns, built on first
+    /// use per relation version. An empty catalog makes every probe
+    /// build its own order.
     Selected(&'a IndexCatalog),
     /// Never probe — always scan. The determinism baseline.
     ForceScan,
@@ -444,34 +442,25 @@ fn solve(
                     try_row(row, consumed, &subst, source, emit, stats)?;
                 }
             } else {
-                // Selected mode: a catalog order serving `key_cols` as a
-                // prefix probes the shared ordered index; its row ids come
-                // back ascending — the same order a hash probe yields — so
-                // the solution stream is identical either way.
+                // A catalog order serving `key_cols` as a prefix probes
+                // the shared ordered index; a miss probes the order on
+                // exactly `key_cols`, cached per relation version. Row
+                // ids come back ascending either way, so the solution
+                // stream is the scan's.
                 let selected = match plan {
                     AccessPlan::Selected(cat) => cat.lookup(a.pred, &key_cols),
-                    _ => None,
+                    AccessPlan::ForceScan => None,
                 };
-                if let Some(order_cols) = selected {
-                    let oi = rel.ordered_index_on(order_cols);
-                    let key: Vec<Term> = order_cols[..key_cols.len()]
-                        .iter()
-                        .map(|c| {
-                            key_vals[key_cols.binary_search(c).expect("prefix column")].clone()
-                        })
-                        .collect();
-                    let rids = oi.probe_prefix(rel.rows(), &key);
-                    note_rows_enumerated(rids.len() as u64);
-                    for rid in rids {
-                        try_row(rel.row(rid), consumed, &subst, source, emit, stats)?;
-                    }
-                } else {
-                    let idx = rel.index_on(&key_cols);
-                    let rids = idx.probe(&key_vals);
-                    note_rows_enumerated(rids.len() as u64);
-                    for &rid in rids {
-                        try_row(rel.row(rid), consumed, &subst, source, emit, stats)?;
-                    }
+                let order_cols = selected.unwrap_or(&key_cols);
+                let oi = rel.ordered_index_on(order_cols);
+                let key: Vec<Term> = order_cols[..key_cols.len()]
+                    .iter()
+                    .map(|c| key_vals[key_cols.binary_search(c).expect("prefix column")].clone())
+                    .collect();
+                let rids = oi.probe_prefix(rel.rows(), &key);
+                note_rows_enumerated(rids.len() as u64);
+                for rid in rids {
+                    try_row(rel.row(rid), consumed, &subst, source, emit, stats)?;
                 }
             }
             Ok(())
@@ -505,7 +494,7 @@ mod tests {
             &order,
             &Subst::new(),
             &source,
-            AccessPlan::HashOnDemand,
+            AccessPlan::Selected(&IndexCatalog::default()),
             &mut |t| out.push(t),
         )
         .unwrap();
@@ -579,7 +568,7 @@ mod tests {
             &[1, 0],
             &Subst::new(),
             &source,
-            AccessPlan::HashOnDemand,
+            AccessPlan::Selected(&IndexCatalog::default()),
             &mut |t| out.push(t),
         );
         assert!(r.is_err());
@@ -638,7 +627,7 @@ mod tests {
             &[0, 1],
             &Subst::new(),
             &source,
-            AccessPlan::HashOnDemand,
+            AccessPlan::Selected(&IndexCatalog::default()),
             &mut |t| out.push(t),
         )
         .unwrap();
@@ -689,7 +678,7 @@ mod tests {
             &[0],
             &seed,
             &source,
-            AccessPlan::HashOnDemand,
+            AccessPlan::Selected(&IndexCatalog::default()),
             &mut |t| out.push(t),
         )
         .unwrap();

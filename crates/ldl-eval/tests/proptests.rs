@@ -14,6 +14,7 @@ use ldl_eval::ops::JoinMethod;
 use ldl_eval::rule_eval::{eval_rule_with, AccessPlan, OverlaySource};
 use ldl_eval::sld::{solve_sld, SldConfig};
 use ldl_eval::{evaluate_query, FixpointConfig, Method};
+use ldl_index::IndexCatalog;
 use ldl_storage::{Database, Relation, Tuple};
 use ldl_support::prop::{check, i64s, pairs, quads, triples, u64s, usizes, vecs, Config, Gen};
 use ldl_support::{SliceRandom, SplitMix64};
@@ -69,7 +70,8 @@ fn executors_agree() {
             };
             let mat = eval_rule_materialized(rule, &order, method, &source, false).unwrap();
             let mut pipe = Relation::new(2);
-            let plan = AccessPlan::HashOnDemand;
+            let empty = IndexCatalog::default();
+            let plan = AccessPlan::Selected(&empty);
             eval_rule_with(rule, &order, &Subst::new(), &source, plan, &mut |t| {
                 pipe.insert(t);
             })
@@ -226,8 +228,8 @@ fn parallel_fixpoint_is_bit_identical_to_serial() {
     );
 }
 
-/// The three access-path policies (selected ordered indexes, on-demand
-/// hashes, forced scans) are bit-for-bit interchangeable: identical
+/// The two access-path policies (ordered indexes, selected or built on
+/// demand, and forced scans) are bit-for-bit interchangeable: identical
 /// relations in identical *row order* and identical [`ldl_eval::Metrics`],
 /// at 1 and 4 worker threads, on arbitrary (cyclic) edge sets driving
 /// both a linear tc and a same-generation clique.
@@ -250,11 +252,7 @@ fn access_paths_are_bit_identical() {
             let db = Database::from_program(&program);
             let reference = FixpointConfig::serial().with_access_paths(AccessPaths::ForceScan);
             let (ref_rel, ref_m) = eval_program_seminaive(&program, &db, &reference).unwrap();
-            for paths in [
-                AccessPaths::Selected,
-                AccessPaths::HashOnDemand,
-                AccessPaths::ForceScan,
-            ] {
+            for paths in [AccessPaths::Selected, AccessPaths::ForceScan] {
                 for threads in [1, 4] {
                     let cfg = FixpointConfig::default()
                         .with_threads(threads)
@@ -278,7 +276,7 @@ fn access_paths_are_bit_identical() {
 /// inequality builtins — an equality-prefix range rule and an
 /// empty-prefix, partially-foldable rule — produce bit-identical
 /// relations (same rows, same insertion order) and identical
-/// [`ldl_eval::Metrics`] across all three access-path policies at 1 and
+/// [`ldl_eval::Metrics`] across both access-path policies at 1 and
 /// 4 worker threads, under naive and semi-naive evaluation; magic on a
 /// bound query agrees with semi-naive on answers.
 #[test]
@@ -307,11 +305,7 @@ fn range_probes_are_bit_identical_across_policies() {
             let reference = FixpointConfig::serial().with_access_paths(AccessPaths::ForceScan);
             let (semi_ref, semi_m) = eval_program_seminaive(&program, &db, &reference).unwrap();
             let (naive_ref, naive_m) = eval_program_naive(&program, &db, &reference).unwrap();
-            for paths in [
-                AccessPaths::Selected,
-                AccessPaths::HashOnDemand,
-                AccessPaths::ForceScan,
-            ] {
+            for paths in [AccessPaths::Selected, AccessPaths::ForceScan] {
                 for threads in [1, 4] {
                     let c = FixpointConfig::default()
                         .with_threads(threads)

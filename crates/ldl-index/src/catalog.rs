@@ -3,10 +3,11 @@
 //! Built once per program (collect → chain-cover → lower each chain to
 //! one order), then consulted by the executor at every probe site: the
 //! runtime's bound-column set maps to the order serving it as a prefix,
-//! or to `None` (fall back to an on-demand hash index). Lookups for
-//! collected signatures are O(1); a signature the collector never saw
-//! (over-approximation holes are possible in principle, not observed)
-//! falls back to a prefix scan over the predicate's orders.
+//! or to `None` (the executor then builds an order on exactly the bound
+//! columns). Lookups for collected signatures are O(1); a signature the
+//! collector never saw (over-approximation holes are possible in
+//! principle, not observed) falls back to a prefix scan over the
+//! predicate's orders.
 
 use crate::collect::{
     collect_range_signatures, collect_signatures, RangeSignatureMap, SignatureMap,

@@ -1,8 +1,8 @@
 //! # ldl-index — automatic index selection
 //!
 //! The paper's cost model (§6) prices every AND node by its access
-//! method, but an executor that fabricates one ad-hoc hash index per
-//! distinct bound-column set pays a rebuild per (signature, relation
+//! method, but an executor that fabricates one ad-hoc index per
+//! distinct bound-column set pays a build per (signature, relation
 //! version) and gives the optimizer nothing to price one access path
 //! against another. This crate makes access paths a compile-time
 //! artifact:
@@ -24,9 +24,9 @@
 //!
 //! The storage layer (`ldl-storage`) holds the ordered index structure
 //! itself; the evaluator (`ldl-eval`) consults the catalog before
-//! falling back to on-demand hash indexes; the optimizer
-//! (`ldl-optimizer`) uses the catalog to classify base accesses as
-//! full-scan / hash-probe / ordered-prefix.
+//! falling back to an order on exactly the bound columns, built on
+//! demand; the optimizer (`ldl-optimizer`) uses the catalog to classify
+//! base accesses as full-scan / on-demand / ordered-prefix.
 
 pub mod catalog;
 pub mod collect;

@@ -119,14 +119,15 @@ impl fmt::Display for PlanCost {
 /// time, as classified against the selected-index catalog (see
 /// `ldl_index`). Distinguishing these lets the model price *index
 /// reuse*: a selected ordered index is built once per relation version
-/// no matter how many signatures share it, whereas each distinct
-/// on-demand hash key set pays its own build.
+/// no matter how many signatures share it, whereas each bound-column
+/// set the catalog misses pays for its own on-demand order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccessPath {
     /// No usable key: enumerate every tuple.
     FullScan,
-    /// On-demand hash index on exactly the bound columns.
-    HashProbe,
+    /// An order on the bound columns, built on first use per relation
+    /// version.
+    OnDemand,
     /// Prefix probe of a selected lexicographic index (binary search).
     OrderedPrefix,
     /// Range probe of a selected lexicographic index (prefix equality
@@ -219,8 +220,9 @@ impl CostModel for DefaultCostModel {
         let fanout = (card * sel).max(0.0);
         let (setup, probe) = match path {
             AccessPath::FullScan => (0.0, card.max(1.0)),
-            // Each distinct hash key set pays its own O(card) build.
-            AccessPath::HashProbe => (self.params.cpu_per_tuple * card, fanout.max(1.0)),
+            // Each bound-column set the catalog misses pays its own
+            // build, priced as one O(card) pass.
+            AccessPath::OnDemand => (self.params.cpu_per_tuple * card, fanout.max(1.0)),
             // A selected order is built once per relation version no
             // matter how many signatures probe it; the solver already
             // charged that build to the catalog, so a plan using it pays
@@ -365,17 +367,17 @@ mod tests {
     }
 
     /// Two signatures sharing one selected ordered index must beat two
-    /// on-demand hash builds: the ordered path amortizes its build into
-    /// the catalog (setup 0 here), the hash path pays O(card) per
-    /// distinct key set.
+    /// on-demand builds: the selected path amortizes its build into the
+    /// catalog (setup 0 here), the on-demand path pays O(card) per
+    /// distinct bound-column set.
     #[test]
-    fn shared_ordered_index_beats_per_signature_hashes() {
+    fn shared_ordered_index_beats_per_signature_builds() {
         let m = DefaultCostModel::default();
         let s = Stats::uniform(10_000.0, 3, 100.0);
         let n = 50.0; // binding tuples per probe site
-        let hash_total: f64 = [vec![0usize], vec![0, 1]]
+        let on_demand_total: f64 = [vec![0usize], vec![0, 1]]
             .iter()
-            .map(|cols| m.indexed_access(&s, cols, AccessPath::HashProbe).total(n))
+            .map(|cols| m.indexed_access(&s, cols, AccessPath::OnDemand).total(n))
             .sum();
         let ordered_total: f64 = [vec![0usize], vec![0, 1]]
             .iter()
@@ -385,8 +387,8 @@ mod tests {
             })
             .sum();
         assert!(
-            ordered_total < hash_total,
-            "ordered {ordered_total} should beat hash {hash_total}"
+            ordered_total < on_demand_total,
+            "ordered {ordered_total} should beat on-demand {on_demand_total}"
         );
     }
 
@@ -395,14 +397,14 @@ mod tests {
         let m = DefaultCostModel::default();
         let s = Stats::uniform(10_000.0, 2, 100.0);
         let scan = m.indexed_access(&s, &[], AccessPath::FullScan);
-        let hash = m.indexed_access(&s, &[0], AccessPath::HashProbe);
+        let on_demand = m.indexed_access(&s, &[0], AccessPath::OnDemand);
         let ordered = m.indexed_access(&s, &[0], AccessPath::OrderedPrefix);
         let range = m.indexed_access(&s, &[0], AccessPath::Range);
-        // A probe is cheaper per binding than a scan; the ordered probe
-        // adds only a log factor over the hash probe but no setup.
-        assert!(hash.probe < scan.probe);
-        assert!(ordered.setup == 0.0 && hash.setup > 0.0);
-        assert!(ordered.probe < hash.probe + 1.0);
+        // A probe is cheaper per binding than a scan; the selected probe
+        // adds only a log factor over the on-demand probe but no setup.
+        assert!(on_demand.probe < scan.probe);
+        assert!(ordered.setup == 0.0 && on_demand.setup > 0.0);
+        assert!(ordered.probe < on_demand.probe + 1.0);
         // Range restricts the fanout by the inequality selectivity.
         assert!(range.fanout < ordered.fanout);
         // Default path classification forwards to base_access.
@@ -416,7 +418,7 @@ mod tests {
         let stats = PlanCost::unsafe_plan(2).stats;
         for path in [
             AccessPath::FullScan,
-            AccessPath::HashProbe,
+            AccessPath::OnDemand,
             AccessPath::OrderedPrefix,
             AccessPath::Range,
         ] {

@@ -22,7 +22,6 @@
 
 pub mod co_opt;
 pub mod cost;
-pub mod cse;
 pub mod estimates;
 pub mod joingraph;
 pub mod opt;

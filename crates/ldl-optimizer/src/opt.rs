@@ -338,7 +338,7 @@ impl<'a> Optimizer<'a> {
 
     /// Attaches an explicit selected-index catalog: base accesses are
     /// then priced per physical path — ordered-prefix probes for bound
-    /// sets the catalog serves, on-demand hash probes otherwise.
+    /// sets the catalog serves, on-demand orders otherwise.
     pub fn with_index_catalog(mut self, catalog: IndexCatalog) -> Optimizer<'a> {
         self.index_catalog = Some(catalog);
         self
@@ -479,7 +479,7 @@ impl<'a> Optimizer<'a> {
                     } else if cat.lookup(pred, &bound).is_some() {
                         AccessPath::OrderedPrefix
                     } else {
-                        AccessPath::HashProbe
+                        AccessPath::OnDemand
                     };
                     self.model.indexed_access(&stats, &bound, path)
                 }

@@ -7,7 +7,7 @@
 //! * [`tuple::Tuple`] — rows of ground [`ldl_core::Term`]s (LDL relations
 //!   may hold complex terms, not just flat values);
 //! * [`relation::Relation`] — duplicate-free, insertion-ordered tuple
-//!   sets with lazily cached hash indexes on column subsets;
+//!   sets with lazily cached ordered indexes on column sequences;
 //! * [`stats::Stats`] — cardinality and per-column distinct counts, either
 //!   computed from data or supplied synthetically for optimizer-only
 //!   experiments;
@@ -23,6 +23,6 @@ pub mod tuple;
 
 pub use catalog::Database;
 pub use relation::counters::{note_rows_enumerated, scope_handle, IndexCounters, ScopeHandle};
-pub use relation::{ColClass, Index, OrderedIndex, Relation, SupportCounts};
+pub use relation::{ColClass, OrderedIndex, Relation, SupportCounts};
 pub use stats::Stats;
 pub use tuple::Tuple;

@@ -1,4 +1,4 @@
-//! Relations: duplicate-free tuple sets with hash and ordered indexes.
+//! Relations: duplicate-free tuple sets with cached ordered indexes.
 
 use crate::tuple::Tuple;
 use ldl_core::Term;
@@ -6,11 +6,11 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Process-wide index work counters, the observable the index-selection
-/// experiments measure: how many index structures were built (per kind)
-/// and how many probes they served. Monotone; relative measurement uses
+/// experiments measure: how many ordered indexes were built and how many
+/// probes they served. Monotone; relative measurement uses
 /// [`IndexCounters::scoped`] (isolated from concurrent work) or, for
 /// whole-process views, [`IndexCounters::snapshot`] +
 /// [`IndexCounters::delta_since`].
@@ -19,9 +19,7 @@ pub mod counters {
     use std::cell::RefCell;
     use std::sync::Arc;
 
-    static HASH_BUILDS: AtomicU64 = AtomicU64::new(0);
     static ORDERED_BUILDS: AtomicU64 = AtomicU64::new(0);
-    static HASH_PROBES: AtomicU64 = AtomicU64::new(0);
     static ORDERED_PROBES: AtomicU64 = AtomicU64::new(0);
     static RANGE_PROBES: AtomicU64 = AtomicU64::new(0);
     static ROWS_ENUMERATED: AtomicU64 = AtomicU64::new(0);
@@ -31,9 +29,7 @@ pub mod counters {
     /// [`ScopeHandle`]) and bump it concurrently.
     #[derive(Debug, Default)]
     struct ScopeCells {
-        hash_builds: AtomicU64,
         ordered_builds: AtomicU64,
-        hash_probes: AtomicU64,
         ordered_probes: AtomicU64,
         range_probes: AtomicU64,
         rows_enumerated: AtomicU64,
@@ -47,9 +43,7 @@ pub mod counters {
     /// Which counter a call site bumps.
     #[derive(Clone, Copy)]
     enum Counter {
-        HashBuilds,
         OrderedBuilds,
-        HashProbes,
         OrderedProbes,
         RangeProbes,
         RowsEnumerated,
@@ -57,9 +51,7 @@ pub mod counters {
 
     fn bump(which: Counter, n: u64) {
         let global = match which {
-            Counter::HashBuilds => &HASH_BUILDS,
             Counter::OrderedBuilds => &ORDERED_BUILDS,
-            Counter::HashProbes => &HASH_PROBES,
             Counter::OrderedProbes => &ORDERED_PROBES,
             Counter::RangeProbes => &RANGE_PROBES,
             Counter::RowsEnumerated => &ROWS_ENUMERATED,
@@ -68,9 +60,7 @@ pub mod counters {
         SCOPES.with(|s| {
             for scope in s.borrow().iter() {
                 let cell = match which {
-                    Counter::HashBuilds => &scope.hash_builds,
                     Counter::OrderedBuilds => &scope.ordered_builds,
-                    Counter::HashProbes => &scope.hash_probes,
                     Counter::OrderedProbes => &scope.ordered_probes,
                     Counter::RangeProbes => &scope.range_probes,
                     Counter::RowsEnumerated => &scope.rows_enumerated,
@@ -80,14 +70,8 @@ pub mod counters {
         });
     }
 
-    pub(super) fn note_hash_build() {
-        bump(Counter::HashBuilds, 1);
-    }
     pub(super) fn note_ordered_build() {
         bump(Counter::OrderedBuilds, 1);
-    }
-    pub(super) fn note_hash_probe() {
-        bump(Counter::HashProbes, 1);
     }
     pub(super) fn note_ordered_probe() {
         bump(Counter::OrderedProbes, 1);
@@ -157,11 +141,12 @@ pub mod counters {
     /// A snapshot of the index work counters.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct IndexCounters {
-        /// Hash indexes built ([`super::Relation::index_on`] misses).
+        /// Always 0: the ordered index is the only index kind. Kept
+        /// because the end-to-end benchmark driver still reports it.
         pub hash_builds: u64,
         /// Ordered indexes built ([`super::Relation::ordered_index_on`] misses).
         pub ordered_builds: u64,
-        /// Probes served by hash indexes.
+        /// Always 0, like [`IndexCounters::hash_builds`].
         pub hash_probes: u64,
         /// Equality-prefix probes served by ordered indexes.
         pub ordered_probes: u64,
@@ -177,9 +162,9 @@ pub mod counters {
         /// Current counter values.
         pub fn snapshot() -> IndexCounters {
             IndexCounters {
-                hash_builds: HASH_BUILDS.load(AtomicOrdering::Relaxed),
+                hash_builds: 0,
                 ordered_builds: ORDERED_BUILDS.load(AtomicOrdering::Relaxed),
-                hash_probes: HASH_PROBES.load(AtomicOrdering::Relaxed),
+                hash_probes: 0,
                 ordered_probes: ORDERED_PROBES.load(AtomicOrdering::Relaxed),
                 range_probes: RANGE_PROBES.load(AtomicOrdering::Relaxed),
                 rows_enumerated: ROWS_ENUMERATED.load(AtomicOrdering::Relaxed),
@@ -190,9 +175,9 @@ pub mod counters {
         pub fn delta_since(&self) -> IndexCounters {
             let now = IndexCounters::snapshot();
             IndexCounters {
-                hash_builds: now.hash_builds - self.hash_builds,
+                hash_builds: 0,
                 ordered_builds: now.ordered_builds - self.ordered_builds,
-                hash_probes: now.hash_probes - self.hash_probes,
+                hash_probes: 0,
                 ordered_probes: now.ordered_probes - self.ordered_probes,
                 range_probes: now.range_probes - self.range_probes,
                 rows_enumerated: now.rows_enumerated - self.rows_enumerated,
@@ -224,62 +209,15 @@ pub mod counters {
             };
             let load = |c: &AtomicU64| c.load(AtomicOrdering::Relaxed);
             let counters = IndexCounters {
-                hash_builds: load(&cells.hash_builds),
+                hash_builds: 0,
                 ordered_builds: load(&cells.ordered_builds),
-                hash_probes: load(&cells.hash_probes),
+                hash_probes: 0,
                 ordered_probes: load(&cells.ordered_probes),
                 range_probes: load(&cells.range_probes),
                 rows_enumerated: load(&cells.rows_enumerated),
             };
             (out, counters)
         }
-    }
-}
-
-/// A hash index over a snapshot of a relation: maps the values at
-/// `key_cols` to the row ids holding them.
-///
-/// Indexes are immutable snapshots. [`Relation`] caches one per column
-/// set and invalidates the cache on insertion, so probes after an update
-/// transparently rebuild.
-#[derive(Clone, Debug)]
-pub struct Index {
-    key_cols: Vec<usize>,
-    map: HashMap<Vec<Term>, Vec<u32>>,
-    /// Relation version this index was built against.
-    version: u64,
-}
-
-impl Index {
-    fn build(rows: &[Tuple], key_cols: &[usize], version: u64) -> Index {
-        counters::note_hash_build();
-        let mut map: HashMap<Vec<Term>, Vec<u32>> = HashMap::new();
-        for (i, t) in rows.iter().enumerate() {
-            let key: Vec<Term> = key_cols.iter().map(|&c| t.get(c).clone()).collect();
-            map.entry(key).or_default().push(i as u32);
-        }
-        Index {
-            key_cols: key_cols.to_vec(),
-            map,
-            version,
-        }
-    }
-
-    /// Row ids whose `key_cols` equal `key`, ascending (insertion order).
-    pub fn probe(&self, key: &[Term]) -> &[u32] {
-        debug_assert_eq!(key.len(), self.key_cols.len());
-        counters::note_hash_probe();
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// The indexed columns.
-    pub fn key_cols(&self) -> &[usize] {
-        &self.key_cols
     }
 }
 
@@ -308,11 +246,12 @@ pub enum ColClass {
 /// by row id). One ordered index serves *every* bound-column set that is
 /// a prefix of `cols` via binary-searched prefix probes — this is what
 /// lets a minimum-chain-cover index selection (see the `ldl-index`
-/// crate) replace one hash index per search signature with one ordered
-/// index per chain.
+/// crate) serve many search signatures with one ordered index per
+/// chain. A probe no selected order serves builds its own order on the
+/// bound columns, so this is the relation's only index kind.
 ///
-/// Like [`Index`], ordered indexes are immutable snapshots keyed by the
-/// relation version and cached by [`Relation::ordered_index_on`].
+/// Ordered indexes are immutable snapshots keyed by the relation
+/// version and cached by [`Relation::ordered_index_on`].
 #[derive(Clone, Debug)]
 pub struct OrderedIndex {
     cols: Vec<usize>,
@@ -320,6 +259,8 @@ pub struct OrderedIndex {
     perm: Vec<u32>,
     /// Per-indexed-column value-type population (same length as `cols`).
     classes: Vec<ColClass>,
+    /// Distinct full keys, counted on first use.
+    distinct: OnceLock<usize>,
     /// Relation version this index was built against.
     version: u64,
 }
@@ -361,6 +302,7 @@ impl OrderedIndex {
             cols: cols.to_vec(),
             perm,
             classes,
+            distinct: OnceLock::new(),
             version,
         }
     }
@@ -374,6 +316,21 @@ impl OrderedIndex {
     /// [`OrderedIndex::cols`].
     pub fn col_class(&self, depth: usize) -> ColClass {
         self.classes[depth]
+    }
+
+    /// Number of distinct values of the full key: the runs of equal keys
+    /// in the sorted permutation, counted on the first call and cached
+    /// with the snapshot. `rows` are the relation's rows at the
+    /// snapshot's version, as for the probes.
+    pub fn distinct_keys(&self, rows: &[Tuple]) -> usize {
+        *self.distinct.get_or_init(|| {
+            let (row, cols) = (|rid: u32| &rows[rid as usize], &self.cols);
+            let breaks = self.perm.windows(2).filter(|w| {
+                let (a, b) = (row(w[0]), row(w[1]));
+                cols.iter().any(|&c| a.get(c) != b.get(c))
+            });
+            breaks.count() + usize::from(!self.perm.is_empty())
+        })
     }
 
     /// Compares the first `key.len()` indexed columns of `row` against
@@ -402,8 +359,8 @@ impl OrderedIndex {
     }
 
     /// Row ids whose first `key.len()` indexed columns equal `key`,
-    /// returned **ascending** — the same emission order a hash-index
-    /// probe or a full scan yields, which is what keeps the evaluator's
+    /// returned **ascending** — the same emission order a full scan
+    /// yields, which is what keeps the evaluator's
     /// bit-for-bit determinism contract access-path independent.
     pub fn probe_prefix(&self, rows: &[Tuple], key: &[Term]) -> Vec<u32> {
         counters::note_ordered_probe();
@@ -492,8 +449,6 @@ pub struct Relation {
     rows: Vec<Tuple>,
     seen: HashMap<Tuple, u32>,
     version: u64,
-    /// Lazily built indexes keyed by column set.
-    index_cache: Mutex<HashMap<Vec<usize>, Arc<Index>>>,
     /// Lazily built ordered indexes keyed by column order.
     ordered_cache: Mutex<HashMap<Vec<usize>, Arc<OrderedIndex>>>,
 }
@@ -506,7 +461,6 @@ impl Relation {
             rows: Vec::new(),
             seen: HashMap::new(),
             version: 0,
-            index_cache: Mutex::new(HashMap::new()),
             ordered_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -574,24 +528,10 @@ impl Relation {
         &self.rows
     }
 
-    /// A (cached) hash index on `cols`. Rebuilt automatically if the
-    /// relation changed since the index was built.
-    pub fn index_on(&self, cols: &[usize]) -> Arc<Index> {
-        let mut cache = self.index_cache.lock().expect("index cache lock poisoned");
-        match cache.get(cols) {
-            Some(idx) if idx.version == self.version => idx.clone(),
-            _ => {
-                let idx = Arc::new(Index::build(&self.rows, cols, self.version));
-                cache.insert(cols.to_vec(), idx.clone());
-                idx
-            }
-        }
-    }
-
     /// A (cached) ordered index on the column order `cols`. Rebuilt
     /// automatically if the relation changed since the index was built.
-    /// Unlike [`Relation::index_on`], the cache key is an ordered
-    /// *sequence*: `[0, 1]` and `[1, 0]` are different indexes.
+    /// The cache key is an ordered *sequence*: `[0, 1]` and `[1, 0]` are
+    /// different indexes.
     pub fn ordered_index_on(&self, cols: &[usize]) -> Arc<OrderedIndex> {
         let mut cache = self
             .ordered_cache
@@ -607,9 +547,10 @@ impl Relation {
         }
     }
 
-    /// Distinct values in column `c` (counted via a single-column index).
+    /// Distinct values in column `c`: the runs of equal values in the
+    /// cached order `[c]`, counted once per relation version.
     pub fn distinct_in_col(&self, c: usize) -> usize {
-        self.index_on(&[c]).distinct_keys()
+        self.ordered_index_on(&[c]).distinct_keys(&self.rows)
     }
 
     /// Removes `t` if present, returning `true`. Surviving rows keep
@@ -745,11 +686,6 @@ impl Clone for Relation {
         // cached probes without rebuilding, and its own inserts bump
         // `version` which invalidates the shared entries for the clone
         // only (the original keeps serving them at its version).
-        let cache = self
-            .index_cache
-            .lock()
-            .expect("index cache lock poisoned")
-            .clone();
         let ordered = self
             .ordered_cache
             .lock()
@@ -760,7 +696,6 @@ impl Clone for Relation {
             rows: self.rows.clone(),
             seen: self.seen.clone(),
             version: self.version,
-            index_cache: Mutex::new(cache),
             ordered_cache: Mutex::new(ordered),
         }
     }
@@ -830,35 +765,14 @@ mod tests {
     #[test]
     fn index_probe_finds_rows() {
         let mut r = Relation::new(2);
+        r.insert(Tuple::ints(&[2, 30]));
         r.insert(Tuple::ints(&[1, 10]));
         r.insert(Tuple::ints(&[1, 20]));
-        r.insert(Tuple::ints(&[2, 30]));
-        let idx = r.index_on(&[0]);
-        assert_eq!(idx.probe(&[Term::int(1)]).len(), 2);
-        assert_eq!(idx.probe(&[Term::int(2)]).len(), 1);
-        assert_eq!(idx.probe(&[Term::int(9)]).len(), 0);
-        assert_eq!(idx.distinct_keys(), 2);
-    }
-
-    #[test]
-    fn index_invalidated_on_insert() {
-        let mut r = Relation::new(1);
-        r.insert(Tuple::ints(&[1]));
-        let idx = r.index_on(&[0]);
-        assert_eq!(idx.probe(&[Term::int(2)]).len(), 0);
-        r.insert(Tuple::ints(&[2]));
-        let idx2 = r.index_on(&[0]);
-        assert_eq!(idx2.probe(&[Term::int(2)]).len(), 1);
-    }
-
-    #[test]
-    fn multi_column_index() {
-        let mut r = Relation::new(3);
-        r.insert(Tuple::ints(&[1, 2, 3]));
-        r.insert(Tuple::ints(&[1, 2, 4]));
-        r.insert(Tuple::ints(&[1, 5, 3]));
-        let idx = r.index_on(&[0, 1]);
-        assert_eq!(idx.probe(&[Term::int(1), Term::int(2)]).len(), 2);
+        let idx = r.ordered_index_on(&[0]);
+        assert_eq!(idx.probe_prefix(r.rows(), &[Term::int(1)]), vec![1, 2]);
+        assert_eq!(idx.probe_prefix(r.rows(), &[Term::int(2)]), vec![0]);
+        assert!(idx.probe_prefix(r.rows(), &[Term::int(9)]).is_empty());
+        assert_eq!(idx.distinct_keys(r.rows()), 2);
     }
 
     #[test]
@@ -878,8 +792,14 @@ mod tests {
                 Tuple::ints(&[2, 2]),
             ],
         );
-        assert_eq!(r.distinct_in_col(0), 2);
-        assert_eq!(r.distinct_in_col(1), 2);
+        let ((), work) = counters::IndexCounters::scoped(|| {
+            assert_eq!(r.distinct_in_col(0), 2);
+            assert_eq!(r.distinct_in_col(1), 2);
+            assert_eq!(r.distinct_in_col(0), 2);
+        });
+        // One cached order per column; asking again reuses it.
+        assert_eq!(work.ordered_builds, 2);
+        assert_eq!(Relation::new(1).distinct_in_col(0), 0);
     }
 
     #[test]
@@ -890,23 +810,18 @@ mod tests {
     }
 
     #[test]
-    fn ordered_prefix_probe_matches_hash_probe() {
+    fn ordered_prefix_probe_yields_ascending_rids() {
         let mut r = Relation::new(3);
         r.insert(Tuple::ints(&[2, 1, 9]));
         r.insert(Tuple::ints(&[1, 5, 8]));
         r.insert(Tuple::ints(&[1, 2, 7]));
         r.insert(Tuple::ints(&[1, 2, 6]));
         let oi = r.ordered_index_on(&[0, 1]);
-        // Full-key probe agrees with the hash index, rids ascending.
-        let hash: Vec<u32> = r
-            .index_on(&[0, 1])
-            .probe(&[Term::int(1), Term::int(2)])
-            .to_vec();
+        // Full-key probe: insertion order, not key order.
         assert_eq!(
             oi.probe_prefix(r.rows(), &[Term::int(1), Term::int(2)]),
-            hash
+            vec![2, 3]
         );
-        assert_eq!(hash, vec![2, 3]);
         // Prefix probe: all three rows with first column 1, ascending.
         assert_eq!(oi.probe_prefix(r.rows(), &[Term::int(1)]), vec![1, 2, 3]);
         assert!(oi.probe_prefix(r.rows(), &[Term::int(9)]).is_empty());
@@ -1079,18 +994,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_serves_prebuilt_index_without_rebuilding() {
-        let mut r = Relation::new(2);
-        r.insert(Tuple::ints(&[1, 10]));
-        r.insert(Tuple::ints(&[2, 20]));
-        let idx = r.index_on(&[0]);
-        let c = r.clone();
-        // The clone answers from the same snapshot, not a rebuild.
-        assert!(Arc::ptr_eq(&idx, &c.index_on(&[0])));
-        assert_eq!(c.index_on(&[0]).probe(&[Term::int(2)]).len(), 1);
-    }
-
-    #[test]
     fn remove_preserves_survivor_order_and_reindexes() {
         let mut r = Relation::new(2);
         for (a, b) in [(3, 30), (1, 10), (2, 20), (4, 40)] {
@@ -1103,9 +1006,9 @@ mod tests {
         let got: Vec<String> = r.iter().map(|t| t.to_string()).collect();
         assert_eq!(got, ["(3, 30)", "(2, 20)", "(4, 40)"]);
         // Probes see the renumbered row ids, not stale ones.
-        let idx = r.index_on(&[0]);
-        assert_eq!(idx.probe(&[Term::int(4)]), &[2]);
-        assert_eq!(idx.probe(&[Term::int(1)]), &[] as &[u32]);
+        let idx = r.ordered_index_on(&[0]);
+        assert_eq!(idx.probe_prefix(r.rows(), &[Term::int(4)]), vec![2]);
+        assert!(idx.probe_prefix(r.rows(), &[Term::int(1)]).is_empty());
     }
 
     #[test]
@@ -1132,7 +1035,8 @@ mod tests {
         r.canonicalize();
         let got: Vec<String> = r.iter().map(|t| t.to_string()).collect();
         assert_eq!(got, ["(1, 1)", "(1, 2)", "(2, 1)"]);
-        assert_eq!(r.index_on(&[0]).probe(&[Term::int(1)]), &[0, 1]);
+        let idx = r.ordered_index_on(&[0]);
+        assert_eq!(idx.probe_prefix(r.rows(), &[Term::int(1)]), vec![0, 1]);
         // Already-canonical input: no version churn.
         let v = r.version();
         r.canonicalize();
@@ -1158,14 +1062,15 @@ mod tests {
         let mut r = Relation::new(1);
         r.insert(Tuple::ints(&[1]));
         let (_, outer) = counters::IndexCounters::scoped(|| {
-            r.index_on(&[0]).probe(&[Term::int(1)]);
+            r.ordered_index_on(&[0])
+                .probe_prefix(r.rows(), &[Term::int(1)]);
             let ((), inner) = counters::IndexCounters::scoped(|| {
                 counters::note_rows_enumerated(5);
             });
             assert_eq!(inner.rows_enumerated, 5);
-            assert_eq!(inner.hash_probes, 0, "inner scope misses outer work");
+            assert_eq!(inner.ordered_probes, 0, "inner scope misses outer work");
         });
-        assert_eq!(outer.hash_probes, 1);
+        assert_eq!(outer.ordered_probes, 1);
         assert_eq!(outer.rows_enumerated, 5, "outer scope sees nested work");
     }
 
@@ -1190,13 +1095,13 @@ mod tests {
     fn clone_invalidates_shared_index_after_insert() {
         let mut r = Relation::new(1);
         r.insert(Tuple::ints(&[1]));
-        let idx = r.index_on(&[0]);
+        let idx = r.ordered_index_on(&[0]);
         let mut c = r.clone();
         c.insert(Tuple::ints(&[2]));
-        let idx2 = c.index_on(&[0]);
+        let idx2 = c.ordered_index_on(&[0]);
         assert!(!Arc::ptr_eq(&idx, &idx2));
-        assert_eq!(idx2.probe(&[Term::int(2)]).len(), 1);
+        assert_eq!(idx2.probe_prefix(c.rows(), &[Term::int(2)]), vec![1]);
         // The original still serves its own (valid) snapshot.
-        assert!(Arc::ptr_eq(&idx, &r.index_on(&[0])));
+        assert!(Arc::ptr_eq(&idx, &r.ordered_index_on(&[0])));
     }
 }

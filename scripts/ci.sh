@@ -44,11 +44,11 @@ diff "$digest_dir/serial.digests" "$digest_dir/parallel.digests"
 echo "    digests identical: $(wc -l < "$digest_dir/serial.digests") workload(s) × thread counts"
 
 # Index-selection determinism: the index bench runs the recursive
-# workloads under all three access-path policies (selected ordered
-# indexes / on-demand hashes / forced scans) and embeds the answer
-# digest in every record label; one digest per workload means the
-# selected indexes changed nothing but the access cost.
-echo "==> index selection answer-digest diff (selected vs hash vs scan)"
+# workloads under both access-path policies (ordered indexes, selected
+# or built on demand / forced scans) and embeds the answer digest in
+# every record label; one digest per workload means the indexes
+# changed nothing but the access cost.
+echo "==> index selection answer-digest diff (selected vs scan)"
 LDL_BENCH_ITERS=1 LDL_BENCH_JSON_DIR="$digest_dir/idxsel" \
     cargo bench -q --offline -p ldl-bench --bench index_selection >/dev/null
 workloads=$(grep -o '"group": *"[^"]*"' "$digest_dir/idxsel/BENCH_index_selection.json" \
@@ -59,14 +59,14 @@ if [ "$unique" -ne "$workloads" ]; then
     echo "    FAIL: $unique distinct digests across $workloads workload(s)"
     exit 1
 fi
-echo "    digests identical: $workloads workload(s) × 3 access policies"
+echo "    digests identical: $workloads workload(s) × 2 access policies"
 
 # Range-probe determinism: the range bench runs the selective-range
-# workload under all three access-path policies and embeds the answer
+# workload under both access-path policies and embeds the answer
 # digest in every record label; one digest per workload means folding
 # bound inequalities into ordered range probes changed nothing but the
 # rows enumerated (the bench itself asserts the row-count win).
-echo "==> range probes answer-digest diff (selected vs hash vs scan)"
+echo "==> range probes answer-digest diff (selected vs scan)"
 LDL_BENCH_ITERS=1 LDL_BENCH_JSON_DIR="$digest_dir/range" \
     cargo bench -q --offline -p ldl-bench --bench range_probes >/dev/null
 workloads=$(grep -o '"group": *"[^"]*"' "$digest_dir/range/BENCH_range_probes.json" \
@@ -77,7 +77,7 @@ if [ "$unique" -ne "$workloads" ]; then
     echo "    FAIL: $unique distinct digests across $workloads workload(s)"
     exit 1
 fi
-echo "    digests identical: $workloads workload(s) × 3 access policies"
+echo "    digests identical: $workloads workload(s) × 2 access policies"
 
 # Incremental-maintenance determinism: the update-stream bench drives a
 # state-restoring retract/insert cycle through Engine::apply_delta and

@@ -127,7 +127,7 @@ commands:
   :plan <goal>?            co-optimized order + index set + memo counters
   :prolog <goal>?          answer by Prolog-style SLD (textual order)
   :strategy <s>            exhaustive | dp | memo | kbz | annealing
-  :paths <p>               selected | hash | scan (probe access paths)
+  :paths <p>               selected | scan (probe access paths)
   :acyclic <on|off>        assume base data acyclic (enables counting)
   :rewrite <on|off>        apply the sound rewrite pass before evaluation
   :rules                   list the current rule base
@@ -181,7 +181,7 @@ commands:
                     self.session.configure(|_, f| f.access_paths = p);
                     format!("access paths = {arg}")
                 }
-                None => format!("unknown access-path policy {arg:?} (selected|hash|scan)"),
+                None => format!("unknown access-path policy {arg:?} (selected|scan)"),
             },
             "rewrite" => match parse_switch(arg) {
                 Ok(on) => {
@@ -936,6 +936,8 @@ mod tests {
         };
         assert_eq!(rows(&selected), rows(&scanned));
         assert!(s.handle(":paths bogus").contains("unknown access-path"));
+        // There is one index kind; the old hash policy is gone.
+        assert!(s.handle(":paths hash").contains("unknown access-path"));
     }
 
     #[test]

@@ -703,11 +703,7 @@ mod tests {
         s.load("inv(X, W) <- X = 10, X = 3 + W.").unwrap();
         let free = s.answers("inv(A, B)?").unwrap();
         assert_eq!(free.rows()[0].to_string(), "(10, 7)");
-        for paths in [
-            AccessPaths::Selected,
-            AccessPaths::HashOnDemand,
-            AccessPaths::ForceScan,
-        ] {
+        for paths in [AccessPaths::Selected, AccessPaths::ForceScan] {
             s.configure(|_, f| f.access_paths = paths);
             let ans = s.answers("inv(A, 7)?").unwrap();
             assert_eq!(ans.len(), 1);
